@@ -9,8 +9,9 @@ Four primitives cover everything the audits need:
   of SL_n or SO_2k defined by the weights of its natural module;
 * diagonal subgroups across equal factors of a product.
 
-All weight maps are integer matrices on fundamental coordinates; integrality
-is asserted at construction time.
+All weight maps are integer matrices on fundamental coordinates.  The only
+non-integral step is the change to orthogonal coordinates, which has half
+entries for types B and D; integrality is asserted after it.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def subsystem_embedding(rs: RootSystem, nodes) -> Embedding:
             rows.append(
                 tuple(rs.pairing_with_coroot(basis[j], beta) for j in range(rs.rank))
             )
-    return Embedding(source, rs, int_matrix(mat(rows)))
+    return Embedding(source, rs, tuple(rows))
 
 
 def extended_deletion(rs: RootSystem, removed) -> Embedding:
@@ -108,9 +109,9 @@ def _fund_to_eps(rs: RootSystem):
     if fam == "D":
         rows = []
         for i in range(n):
-            row = [Fraction(0)] * n
+            row = [0] * n
             for j in range(i, n - 2):
-                row[j] = Fraction(1)
+                row[j] = 1
             if i <= n - 2:
                 row[n - 2] = half
                 row[n - 1] = half
@@ -142,6 +143,11 @@ def _eps_to_fund_rows(st: SimpleType):
     else:
         raise ValueError(f"unsupported family {st.family}")
     return rows
+
+
+def _dense_row(coeffs, width: int, offset: int = 0) -> tuple[int, ...]:
+    """Integer row of length ``width`` with the sparse ``{t: c}`` placed from ``offset``."""
+    return tuple(coeffs.get(j - offset, 0) for j in range(width))
 
 
 def _classical_part(dim: int):
@@ -186,14 +192,10 @@ def so_sum_embedding(rs: RootSystem, parts) -> Embedding:
         types, maps = _classical_part(p)
         for st, row_maps in zip(types, maps):
             factors.append(build_root_system(st))
-            for coeffs in row_maps:
-                row = [Fraction(0)] * rs.rank
-                for t, c in coeffs.items():
-                    row[offset + t] = Fraction(c)
-                rows.append(tuple(row))
+            rows.extend(_dense_row(coeffs, rs.rank, offset) for coeffs in row_maps)
         offset += p // 2
     source = factors[0] if len(factors) == 1 else ProductRootSystem(factors)
-    matrix = int_matrix(matmul(mat(rows), fund_to_eps))
+    matrix = int_matrix(matmul(rows, fund_to_eps))
     return Embedding(source, rs, matrix)
 
 
@@ -205,12 +207,7 @@ def sl_to_classical(rs: RootSystem, kind: str) -> Embedding:
     k = n // 2
     fund_to_eps = _fund_to_eps(rs)
     # z_t = y_t - y_{n+1-t}; kills the trace gauge
-    fold_rows = []
-    for t in range(k):
-        row = [Fraction(0)] * n
-        row[t] = Fraction(1)
-        row[n - 1 - t] = Fraction(-1)
-        fold_rows.append(tuple(row))
+    fold_rows = [_dense_row({t: 1, n - 1 - t: -1}, n) for t in range(k)]
     if kind == "sp":
         if n % 2 == 1:
             raise ValueError("Sp needs even n")
@@ -226,14 +223,8 @@ def sl_to_classical(rs: RootSystem, kind: str) -> Embedding:
         factors = [build_root_system(t) for t in types]
     else:
         raise ValueError("kind must be 'so' or 'sp'")
-    rows = []
-    for group in row_groups:
-        for coeffs in group:
-            row = [Fraction(0)] * k
-            for t, c in coeffs.items():
-                row[t] = Fraction(c)
-            rows.append(tuple(row))
-    matrix = int_matrix(matmul(matmul(mat(rows), mat(fold_rows)), fund_to_eps))
+    rows = [_dense_row(coeffs, k) for group in row_groups for coeffs in group]
+    matrix = int_matrix(matmul(matmul(rows, fold_rows), fund_to_eps))
     source = factors[0] if len(factors) == 1 else ProductRootSystem(factors)
     return Embedding(source, rs, matrix)
 
@@ -252,9 +243,8 @@ def module_embedding(rs: RootSystem, source, weights) -> Embedding:
     if any(sum(w[j] for w in weights) != 0 for j in range(source.rank)):
         raise ValueError("module weights must sum to zero")
     fund_to_eps = _fund_to_eps(rs)
-    wt = mat(weights)
-    rows = tuple(tuple(wt[i][j] for i in range(n)) for j in range(source.rank))
-    matrix = int_matrix(matmul(mat(rows), fund_to_eps))
+    rows = tuple(tuple(weights[i][j] for i in range(n)) for j in range(source.rank))
+    matrix = int_matrix(matmul(rows, fund_to_eps))
     return Embedding(source, rs, matrix)
 
 
@@ -270,9 +260,8 @@ def orthogonal_module_embedding(rs: RootSystem, source, plane_weights) -> Embedd
     if len(plane_weights) != k:
         raise ValueError(f"need {k} plane weights, got {len(plane_weights)}")
     fund_to_eps = _fund_to_eps(rs)
-    wt = mat(plane_weights)
-    rows = tuple(tuple(wt[i][j] for i in range(k)) for j in range(source.rank))
-    matrix = int_matrix(matmul(mat(rows), fund_to_eps))
+    rows = tuple(tuple(plane_weights[i][j] for i in range(k)) for j in range(source.rank))
+    matrix = int_matrix(matmul(rows, fund_to_eps))
     return Embedding(source, rs, matrix)
 
 

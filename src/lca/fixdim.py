@@ -15,22 +15,22 @@ from fractions import Fraction
 from .rootsys import SimpleType, build_root_system
 from .torsion import enumerate_irreducible_elements
 
-ADJOINT_DIMENSION = {
-    "E8": 248,
-    "E7": 133,
-    "E6": 78,
-    "F4": 52,
-    "G2": 14,
-    "AutE6": 78,
-    "AutD4": 28,
-}
-
-# inner classes of the two automorphism-extended ambients
+# the two automorphism-extended ambients take their inner classes, rank and
+# adjoint dimension from their identity component
 _INNER_SOURCE = {"AutE6": "E6", "AutD4": "D4"}
+
+
+def group_type(group: str) -> SimpleType:
+    """Simple type of a table group; AutE6 and AutD4 give E6 and D4."""
+    return SimpleType.parse(_INNER_SOURCE.get(group, group))
+
+
+ADJOINT_DIMENSION = {
+    g: group_type(g).adjoint_dimension for g in ("E8", "E7", "E6", "F4", "G2", *_INNER_SOURCE)
+}
 
 KAC = "kac-computed"
 SOLVED = "solved-from-row"
-PUBLISHED = "published-value"
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,9 @@ class TraceTable:
 def base_trace_table() -> TraceTable:
     """Traces of all inner classes, computed from extended-diagram labels."""
     table = TraceTable()
-    for group in ("E8", "E7", "E6", "F4", "G2", "D4"):
-        rs = build_root_system(SimpleType.parse(group))
-        for cls in enumerate_irreducible_elements(rs):
-            table.set(group, cls.name, cls.trace, KAC)
+    for st in dict.fromkeys(map(group_type, ADJOINT_DIMENSION)):
+        for cls in enumerate_irreducible_elements(build_root_system(st)):
+            table.set(str(st), cls.name, cls.trace, KAC)
     for ambient, inner in _INNER_SOURCE.items():
         for (g, label), (value, prov) in list(table.entries.items()):
             if g == inner:

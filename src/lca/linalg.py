@@ -1,8 +1,10 @@
-"""Small exact linear algebra kit over the rationals.
+"""Small exact linear algebra kit over the integers and rationals.
 
-Matrices are immutable tuples of tuples of Fractions (or ints where the
-entries happen to be integral).  Everything here is tiny: ranks never
-exceed 16, so no effort is spent on asymptotics.
+Matrices are immutable tuples of tuples.  Products keep the entries they
+are given, so integer matrices stay integer; Fractions come only from
+``invert`` and from the explicit conversions ``vec``, ``mat`` and
+``identity``.  Everything here is tiny: ranks never exceed 16, so no effort
+is spent on asymptotics.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def dot(u: Sequence, v: Sequence) -> Fraction:
+def dot(u: Sequence, v: Sequence):
     return sum(x * y for x, y in zip(u, v))
 
 
@@ -65,13 +67,7 @@ def invert(a: Matrix) -> Matrix:
 
 def int_matrix(a: Matrix) -> tuple[tuple[int, ...], ...]:
     """Cast to integers, raising if any entry is not integral."""
-    out = []
-    for row in a:
-        irow = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError(f"non-integral entry {f}")
-            irow.append(f.numerator)
-        out.append(tuple(irow))
-    return tuple(out)
+    bad = next((x for row in a for x in row if Fraction(x).denominator != 1), None)
+    if bad is not None:
+        raise ValueError(f"non-integral entry {bad}")
+    return tuple(tuple(int(x) for x in row) for row in a)

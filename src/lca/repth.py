@@ -9,9 +9,8 @@ arithmetic is exact; dimensions are plain integers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .linalg import int_matrix, mat, matmul
+from .linalg import matmul
 
 _char_cache: dict = {}
 
@@ -64,12 +63,14 @@ def weyl_dimension(ambient, lam) -> int:
         raise ValueError(f"weight {lam} is not dominant")
     rho = _rho(ambient)
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    result = Fraction(1)
+    num = den = 1
     for alpha in ambient.positive_roots_fund:
-        result *= Fraction(ambient.inner(lam_rho, alpha), ambient.inner(rho, alpha))
-    if result.denominator != 1:
+        num *= ambient.inner(lam_rho, alpha)
+        den *= ambient.inner(rho, alpha)
+    result, remainder = divmod(num, den)
+    if remainder:
         raise AssertionError("Weyl dimension did not come out integral")
-    return int(result)
+    return result
 
 
 def dominant_weights(ambient, lam) -> list:
@@ -106,7 +107,7 @@ def _freudenthal_multiplicities(ambient, lam) -> dict:
             continue
         mu_rho = tuple(a + b for a, b in zip(mu, rho))
         denominator = norm_top - ambient.inner(mu_rho, mu_rho)
-        total = Fraction(0)
+        total = 0
         for alpha in ambient.positive_roots_fund:
             k = 1
             while True:
@@ -116,10 +117,10 @@ def _freudenthal_multiplicities(ambient, lam) -> dict:
                     break
                 total += m * ambient.inner(nu, alpha)
                 k += 1
-        value = 2 * total / denominator
-        if value.denominator != 1 or value <= 0:
+        value, remainder = divmod(2 * total, denominator)
+        if remainder or value <= 0:
             raise AssertionError("Freudenthal recursion produced a bad multiplicity")
-        mults[mu] = int(value)
+        mults[mu] = value
     return mults
 
 
@@ -208,7 +209,7 @@ class Embedding:
 
     def then(self, inner: "Embedding") -> "Embedding":
         """Compose with a further embedding into this one's source."""
-        m = int_matrix(matmul(mat(inner.matrix), mat(self.matrix)))
+        m = matmul(inner.matrix, self.matrix)
         name = f"{self.name}>{inner.name}" if self.name and inner.name else ""
         return Embedding(inner.source, self.target, m, name)
 

@@ -1,9 +1,11 @@
 """Root systems of the simple types, their lattices and diagram combinatorics.
 
 Roots are stored as integer coordinate vectors in the simple-root basis;
-weights as integer vectors in the fundamental-weight basis.  All conversions
-run through the Cartan matrix over exact rationals.  Node numbering follows
-the standard Bourbaki labelling throughout.
+weights as integer vectors in the fundamental-weight basis.  The Cartan and
+Gram matrices, norms and coroot pairings are plain integers; ``Fraction``
+appears only where a division happens: the symmetrizer's search and the
+inverse Cartan matrix behind ``weight_to_root_coords`` and ``height``.  Node
+numbering follows the standard Bourbaki labelling throughout.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
-from .linalg import Matrix, dot, invert, mat, matvec, transpose
+from .linalg import Matrix, dot, invert, matvec, transpose
 
 FAMILIES = "ABCDEFG"
 
@@ -24,16 +27,6 @@ _ADJOINT_DIM = {
     "E": lambda n: {6: 78, 7: 133, 8: 248}[n],
     "F": lambda n: 52,
     "G": lambda n: 14,
-}
-
-_NUM_ROOTS = {
-    "A": lambda n: n * (n + 1),
-    "B": lambda n: 2 * n * n,
-    "C": lambda n: 2 * n * n,
-    "D": lambda n: 2 * n * (n - 1),
-    "E": lambda n: {6: 72, 7: 126, 8: 240}[n],
-    "F": lambda n: 48,
-    "G": lambda n: 12,
 }
 
 
@@ -75,10 +68,6 @@ class SimpleType:
     @property
     def adjoint_dimension(self) -> int:
         return _ADJOINT_DIM[self.family](self.rank)
-
-    @property
-    def num_roots(self) -> int:
-        return _NUM_ROOTS[self.family](self.rank)
 
 
 def cartan_matrix(st: SimpleType) -> tuple[tuple[int, ...], ...]:
@@ -131,20 +120,10 @@ def symmetrizer(cartan) -> tuple[int, ...]:
                 if i != j and cartan[i][j] != 0 and d[j] is None:
                     d[j] = d[i] * cartan[j][i] / cartan[i][j]
                     queue.append(j)
-    denom = 1
-    for x in d:
-        denom = denom * x.denominator // _gcd(denom, x.denominator)
-    out = [x * denom for x in d]
-    g = 0
-    for x in out:
-        g = _gcd(g, x.numerator)
-    return tuple(int(x / g) for x in out)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
+    denom = lcm(*(x.denominator for x in d))
+    scaled = [int(x * denom) for x in d]
+    g = gcd(*scaled)
+    return tuple(x // g for x in scaled)
 
 
 class RootSystem:
@@ -165,20 +144,16 @@ class RootSystem:
             for i in range(self.rank)
         )
         self._close_roots()
-        at_inv = invert(transpose(mat(self.cartan)))
+        at_inv = invert(transpose(self.cartan))
         self._cartan_t_inv = at_inv
         # (mu, nu) on fundamental coordinates, scaled by a global integer so
         # that entries are integral; all uses are ratios of inner products
         fund = [
             [self.d[i] * at_inv[i][j] for j in range(self.rank)] for i in range(self.rank)
         ]
-        scale = 1
-        for row in fund:
-            for x in row:
-                scale = scale * x.denominator // _gcd(scale, x.denominator)
-        self.gram_scale = scale
+        self.gram_scale = lcm(*(x.denominator for row in fund for x in row))
         self.gram_fund: Matrix = tuple(
-            tuple(int(x * scale) for x in row) for row in fund
+            tuple(int(x * self.gram_scale) for x in row) for row in fund
         )
         self._height_vec = tuple(sum(col) for col in zip(*at_inv))
         self.positive_roots_fund = tuple(self.root_to_weight(c) for c in self.positive_roots)
@@ -224,16 +199,22 @@ class RootSystem:
     def height(self, weight) -> Fraction:
         return dot(self._height_vec, weight)
 
-    def inner(self, mu, nu) -> Fraction:
+    def inner(self, mu, nu) -> int:
         return dot(mu, matvec(self.gram_fund, nu))
 
-    def root_norm(self, coords) -> Fraction:
-        return dot(coords, matvec(mat(self.gram), coords))
+    def root_norm(self, coords) -> int:
+        return dot(coords, matvec(self.gram, coords))
 
-    def pairing_with_coroot(self, weight, root_coords) -> Fraction:
-        """<weight, root-coroot> = 2 (weight, root) / (root, root)."""
+    def pairing_with_coroot(self, weight, root_coords) -> int:
+        """<weight, root-coroot> = 2 (weight, root) / (root, root).
+
+        Integral for every root; a remainder means ``root_coords`` is not one.
+        """
         num = 2 * sum(weight[j] * self.d[j] * root_coords[j] for j in range(self.rank))
-        return Fraction(num, self.root_norm(root_coords))
+        value, remainder = divmod(num, self.root_norm(root_coords))
+        if remainder:
+            raise ValueError(f"{tuple(root_coords)} is not a root of {self.type}")
+        return value
 
     # -- Weyl group action ------------------------------------------------
 
@@ -332,10 +313,7 @@ class ProductRootSystem:
             self._pad(i, w) for i, f in enumerate(self.factors) for w in f.positive_roots_fund
         )
         # bring every factor's scaled Gram matrix to one common scale
-        common = 1
-        for f in self.factors:
-            common = common * f.gram_scale // _gcd_int(common, f.gram_scale)
-        self.gram_scale = common
+        self.gram_scale = common = lcm(*(f.gram_scale for f in self.factors))
         self.gram_fund = _block_diagonal(
             [
                 tuple(
@@ -360,7 +338,7 @@ class ProductRootSystem:
     def height(self, weight) -> Fraction:
         return dot(self._height_vec, weight)
 
-    def inner(self, mu, nu) -> Fraction:
+    def inner(self, mu, nu) -> int:
         return dot(mu, matvec(self.gram_fund, nu))
 
     def is_dominant(self, weight) -> bool:
@@ -384,12 +362,6 @@ class ProductRootSystem:
         return f"ProductRootSystem({self.label()})"
 
 
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a) or 1
-
-
 def _block_diagonal(blocks) -> Matrix:
     n = sum(len(b) for b in blocks)
     out = [[0] * n for _ in range(n)]
@@ -400,13 +372,6 @@ def _block_diagonal(blocks) -> Matrix:
                 out[off + i][off + j] = x
         off += len(b)
     return tuple(tuple(row) for row in out)
-
-
-def ambient_for(types) -> "RootSystem | ProductRootSystem":
-    systems = [build_root_system(t) for t in types]
-    if len(systems) == 1:
-        return systems[0]
-    return ProductRootSystem(systems)
 
 
 # -- semisimple type labels -------------------------------------------------
@@ -480,9 +445,6 @@ def _canonical(factors) -> tuple:
     return tuple(sorted(factors, key=lambda f: (f[0].family, f[0].rank, not f[1])))
 
 
-EMPTY_LABEL = SemisimpleTypeLabel(())
-
-
 # -- subsystem diagram classification ---------------------------------------
 
 
@@ -538,7 +500,7 @@ def _classify_component(rs, comp, pair, norm, adj):
     for a in comp:
         for b in comp:
             if a < b and pair[(a, b)] != 0:
-                edge_mark[(a, b)] = int(pair[(a, b)] * pair[(b, a)])
+                edge_mark[(a, b)] = pair[(a, b)] * pair[(b, a)]
     max_mark = max(edge_mark.values())
 
     if max_mark == 3:

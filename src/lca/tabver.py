@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from math import factorial
 
 from .embed import named_chain
@@ -28,6 +29,7 @@ from .fixdim import (
     TraceTable,
     base_trace_table,
     fixed_point_dimension,
+    group_type,
     solve_traces,
 )
 from .repth import adjoint_character, has_trivial_factor, restrict
@@ -36,7 +38,6 @@ from .rootsys import SemisimpleTypeLabel, SimpleType, build_root_system
 DATA_ENV = "LCA_DATA_DIR"
 
 SUBGROUP_TABLES = ("e8", "e7", "e6", "aute6", "f4", "g2", "autd4", "aute6-classes")
-ALL_TABLES = SUBGROUP_TABLES + ("maximal", "elements", "normalizers", "foldings")
 
 _TABLE_FILES = {
     "e8": "table_e8.txt",
@@ -63,8 +64,6 @@ TABLE_ALIASES = {
     "9": "f4",
     "10": "g2",
 }
-
-GROUP_RANK = {"E8": 8, "E7": 7, "E6": 6, "F4": 4, "G2": 2, "AutE6": 6, "AutD4": 4}
 
 
 def data_dir() -> str:
@@ -222,6 +221,14 @@ def _parse_error(path, lineno, fieldname, message):
     return ValueError(f"{os.path.basename(path)} line {lineno}: field {fieldname}: {message}")
 
 
+def _parse_field(path, lineno, fieldname, parse, text):
+    """``parse(text)``, with a ValueError located at its file, line and field."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise _parse_error(path, lineno, fieldname, str(exc)) from None
+
+
 def _read_lines(path: str):
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -239,28 +246,20 @@ def _load_row_table(path: str, table_id: str):
         if len(parts) != 8:
             raise _parse_error(path, lineno, "line", f"expected 8 fields, got {len(parts)}")
         group, f_name, f_order, cent, fusion, constraint, overgroup, flags = parts
+        at = partial(_parse_field, path, lineno)
         index += 1
-        if group not in GROUP_RANK:
+        if group not in ADJOINT_DIMENSION:
             raise _parse_error(path, lineno, "group", f"unknown group {group!r}")
-        try:
-            order = int(f_order)
-        except ValueError:
-            raise _parse_error(path, lineno, "F_order", f"not an integer: {f_order!r}")
-        try:
-            named = group_name_order(f_name)
-        except ValueError as exc:
-            raise _parse_error(path, lineno, "F_name", str(exc))
+        order = at("F_order", int, f_order)
+        named = at("F_name", group_name_order, f_name)
         if named != order:
             raise _parse_error(
                 path, lineno, "F_order", f"{f_name} has order {named}, row says {order}"
             )
-        try:
-            label = SemisimpleTypeLabel.parse(cent)
-        except ValueError as exc:
-            raise _parse_error(path, lineno, "centralizer", str(exc))
+        label = at("centralizer", SemisimpleTypeLabel.parse, cent)
         fus = None
         if fusion:
-            fus = ClassFusion.parse(fusion, order)
+            fus = at("fusion", lambda text: ClassFusion.parse(text, order), fusion)
             if fus.count_sum != order - 1:
                 raise _parse_error(
                     path,
@@ -268,7 +267,7 @@ def _load_row_table(path: str, table_id: str):
                     "fusion",
                     f"counts sum to {fus.count_sum}, expected {order - 1}",
                 )
-        over = SemisimpleTypeLabel.parse(overgroup) if overgroup else None
+        over = at("overgroup", SemisimpleTypeLabel.parse, overgroup) if overgroup else None
         rows.append(
             TableRow(
                 table_id,
@@ -278,7 +277,7 @@ def _load_row_table(path: str, table_id: str):
                 order,
                 label,
                 fus,
-                CharConstraint.parse(constraint),
+                at("p_constraint", CharConstraint.parse, constraint),
                 over,
                 tuple(f for f in flags.split(",") if f),
             )
@@ -295,17 +294,19 @@ def _load_elements(path: str):
         if len(parts) != 6:
             raise _parse_error(path, lineno, "line", f"expected 6 fields, got {len(parts)}")
         group, label, order, cent, annotation, constraint = parts
-        if group not in GROUP_RANK and group != "D4":
+        at = partial(_parse_field, path, lineno)
+        if group not in ADJOINT_DIMENSION and group != "D4":
             raise _parse_error(path, lineno, "group", f"unknown group {group!r}")
+        order_value = at("order", int, order)
         if not label[: len(order)] == order:
             raise _parse_error(path, lineno, "class", f"label {label} does not match order {order}")
         out[(group, label)] = ElementClass(
             group,
             label,
-            int(order),
-            SemisimpleTypeLabel.parse(cent),
+            order_value,
+            at("centralizer", SemisimpleTypeLabel.parse, cent),
             annotation,
-            CharConstraint.parse(constraint),
+            at("p_constraint", CharConstraint.parse, constraint),
         )
     return out
 
@@ -317,8 +318,9 @@ def _load_normalizers(path: str):
         if len(parts) != 3:
             raise _parse_error(path, lineno, "line", f"expected 3 fields, got {len(parts)}")
         group, subgroup, quotient = parts
-        group_name_order(quotient)  # must denote a known finite group
-        out.append((group, SemisimpleTypeLabel.parse(subgroup), quotient))
+        at = partial(_parse_field, path, lineno)
+        at("quotient", group_name_order, quotient)  # must denote a known finite group
+        out.append((group, at("subgroup", SemisimpleTypeLabel.parse, subgroup), quotient))
     return tuple(out)
 
 
@@ -328,7 +330,10 @@ def _load_foldings(path: str):
         parts = line.split("|")
         if len(parts) != 4:
             raise _parse_error(path, lineno, "line", f"expected 4 fields, got {len(parts)}")
-        out.append((parts[0], int(parts[1]), parts[2], CharConstraint.parse(parts[3])))
+        family, order, result, constraint = parts
+        at = partial(_parse_field, path, lineno)
+        order = at("order", int, order)
+        out.append((family, order, result, at("p_constraint", CharConstraint.parse, constraint)))
     return tuple(out)
 
 
@@ -585,7 +590,7 @@ def audit_irreducibility_certificates(ts: TableSet) -> AuditReport:
         rid, desc = row.row_id, row.describe()
         key = (row.group, row.f_name, str(row.centralizer))
         note = _CERTIFICATE_NOTES.get(key, "")
-        if row.centralizer.rank == GROUP_RANK[row.group]:
+        if row.centralizer.rank == group_type(row.group).rank:
             detail = "maximal rank, irreducible outright"
             if note:
                 detail += f"; {note}"

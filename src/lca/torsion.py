@@ -16,11 +16,9 @@ from math import gcd
 from .rootsys import (
     RootSystem,
     SemisimpleTypeLabel,
-    build_root_system,
     classify_subdiagram,
+    root_system,
 )
-
-EXCEPTIONAL = ("G2", "F4", "E6", "E7", "E8")
 
 
 @dataclass(frozen=True)
@@ -35,10 +33,7 @@ class KacCoordinates:
             raise ValueError("need one label per extended-diagram node")
         if any(s < 0 for s in self.labels):
             raise ValueError("labels must be nonnegative")
-        g = 0
-        for s in self.labels:
-            g = gcd(g, s)
-        if g != 1:
+        if gcd(*self.labels) != 1:
             raise ValueError("labels must have gcd 1")
 
     @property
@@ -224,13 +219,7 @@ def enumerate_irreducible_elements(rs: RootSystem) -> tuple:
 
 
 def class_by_name(group: str, name: str) -> TorsionClass:
-    for cls in enumerate_irreducible_elements(build_root_system_by_name(group)):
+    for cls in enumerate_irreducible_elements(root_system(group)):
         if cls.name == name:
             return cls
     raise KeyError(f"no inner class {name!r} in {group}")
-
-
-def build_root_system_by_name(group: str) -> RootSystem:
-    from .rootsys import SimpleType
-
-    return build_root_system(SimpleType.parse(group))

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from lca.cli import run
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+DATA = os.path.join(SRC, "lca", "data")
 
 
 @pytest.fixture
@@ -126,12 +132,10 @@ def test_usage_errors(capture):
 
 
 def test_verify_exit_one_when_flags_removed(tmp_path, monkeypatch, capsys):
-    import os
     import shutil
 
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src", "lca", "data")
-    for name in os.listdir(src):
-        text = open(os.path.join(src, name)).read().replace("|expect-dim-mismatch", "|")
+    for name in os.listdir(DATA):
+        text = open(os.path.join(DATA, name)).read().replace("|expect-dim-mismatch", "|")
         (tmp_path / name).write_text(text)
     monkeypatch.setenv("LCA_DATA_DIR", str(tmp_path))
     status = run(["verify", "--all"])
@@ -139,3 +143,48 @@ def test_verify_exit_one_when_flags_removed(tmp_path, monkeypatch, capsys):
     assert status == 1
     assert "ok: False" in out
     shutil.rmtree(tmp_path, ignore_errors=True)
+
+
+@pytest.mark.parametrize(
+    "name,line,new,where",
+    [
+        ("table_e8.txt", "E8|2^2|4|D4^2|2B^3|||", "E8|2^2|4|D4^2|2B^x|||",
+         "table_e8.txt line 6: field fusion:"),
+        ("table_elements.txt", "E8|2B|2|D8||", "E8|2B|two|D8||",
+         "table_elements.txt line 8: field order:"),
+        ("table_elements.txt", "E8|3A|3|A8||", "E8|3A|3|H8||",
+         "table_elements.txt line 9: field centralizer:"),
+    ],
+    ids=["fusion", "order", "centralizer"],
+)
+def test_malformed_table_field_is_located(tmp_path, monkeypatch, capture, name, line, new, where):
+    for fname in os.listdir(DATA):
+        text = open(os.path.join(DATA, fname)).read()
+        if fname == name:
+            assert line + "\n" in text
+            text = text.replace(line + "\n", new + "\n")
+        (tmp_path / fname).write_text(text)
+    monkeypatch.setenv("LCA_DATA_DIR", str(tmp_path))
+    status, out, err = capture("verify", "--all")
+    assert status == 2
+    assert out == ""
+    assert err.startswith(f"error: {where}")
+
+
+def test_missing_table_files_are_an_error(tmp_path, monkeypatch, capture):
+    monkeypatch.setenv("LCA_DATA_DIR", str(tmp_path))
+    status, out, err = capture("verify", "--all")
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ") and "No such file" in err
+
+
+def test_module_invocation_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "lca.cli", "roots", "G2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stdout.startswith("G2: rank 2, 12 roots, adjoint dimension 14\n")

@@ -9,6 +9,7 @@ from lca.rootsys import (
     fold,
     highest_root_marks,
     root_system,
+    symmetrizer,
     weyl_orbit,
 )
 
@@ -41,11 +42,39 @@ def test_root_counts(name, count):
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM_COUNTS))
 def test_roots_closed_under_negation_and_reflection(name):
     rs = root_system(name)
+    root_weights = {rs.root_to_weight(b) for b in rs.all_roots}
     for alpha in rs.all_roots:
         assert tuple(-x for x in alpha) in rs.all_roots
         fund = rs.root_to_weight(alpha)
         for i in range(rs.rank):
-            assert rs.reflect(fund, i) in {rs.root_to_weight(b) for b in rs.all_roots}
+            assert rs.reflect(fund, i) in root_weights
+
+
+@pytest.mark.parametrize(
+    "name,expected", [("B3", (2, 2, 1)), ("C3", (1, 1, 2)), ("F4", (2, 2, 1, 1)), ("G2", (1, 3))]
+)
+def test_symmetrizer_is_half_the_root_norms(name, expected):
+    rs = root_system(name)
+    d = symmetrizer(rs.cartan)
+    assert d == expected and all(type(x) is int for x in d)
+    simple = [tuple(1 if j == i else 0 for j in range(rs.rank)) for i in range(rs.rank)]
+    assert tuple(rs.root_norm(a) for a in simple) == tuple(2 * x for x in expected)
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8"])
+def test_coroot_pairings_of_extended_nodes_are_ints(name):
+    rs = root_system(name)
+    nodes = [c for _, c in rs.extended_nodes()]
+    for a in nodes:
+        for b in nodes:
+            value = rs.pairing_with_coroot(rs.root_to_weight(a), b)
+            assert type(value) is int
+            assert value == 2 if a == b else value in (0, -1, -2, -3)
+
+
+def test_coroot_pairing_rejects_a_non_root():
+    with pytest.raises(ValueError):
+        root_system("B2").pairing_with_coroot((1, 0), (2, 1))
 
 
 def test_inadmissible_types_rejected():
