@@ -17,6 +17,7 @@ entries for types B and D; integrality is asserted after it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .linalg import int_matrix, mat, matmul
 from .repth import Embedding
@@ -34,7 +35,7 @@ from .rootsys import (
 def identity_embedding(rs) -> Embedding:
     n = rs.rank
     m = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return Embedding(rs, rs, m, rs.label())
+    return Embedding(rs, rs, m)
 
 
 def product_embedding(embs) -> Embedding:
@@ -42,17 +43,11 @@ def product_embedding(embs) -> Embedding:
     target = ProductRootSystem([e.target for e in embs])
     source = ProductRootSystem([e.source for e in embs])
     rows = []
-    col_off = 0
-    col_offsets = []
+    before = 0
     for e in embs:
-        col_offsets.append(col_off)
-        col_off += e.target.rank
-    total_cols = col_off
-    for e, off in zip(embs, col_offsets):
-        for row in e.matrix:
-            full = [0] * total_cols
-            full[off : off + len(row)] = row
-            rows.append(tuple(full))
+        after = target.rank - before - e.target.rank
+        rows.extend((0,) * before + tuple(row) + (0,) * after for row in e.matrix)
+        before += e.target.rank
     return Embedding(source, target, tuple(rows))
 
 
@@ -152,9 +147,6 @@ def _dense_row(coeffs, width: int, offset: int = 0) -> tuple[int, ...]:
 
 def _classical_part(dim: int):
     """(factor types, eps-row maps) for one SO(dim) block, labelled as in the tables."""
-    r = dim // 2
-    if dim == 3:
-        return [SimpleType("B", 1)], [[{0: 2}]]
     if dim == 4:
         return (
             [SimpleType("A", 1), SimpleType("A", 1)],
@@ -166,9 +158,8 @@ def _classical_part(dim: int):
             [SimpleType("A", 3)],
             [[{1: 1, 2: -1}, {0: 1, 1: -1}, {1: 1, 2: 1}]],
         )
-    if dim % 2 == 1:
-        return [SimpleType("B", r)], [_eps_to_fund_rows(SimpleType("B", r))]
-    return [SimpleType("D", r)], [_eps_to_fund_rows(SimpleType("D", r))]
+    st = SimpleType("B" if dim % 2 else "D", dim // 2)
+    return [st], [_eps_to_fund_rows(st)]
 
 
 def so_sum_embedding(rs: RootSystem, parts) -> Embedding:
@@ -211,26 +202,27 @@ def sl_to_classical(rs: RootSystem, kind: str) -> Embedding:
     if kind == "sp":
         if n % 2 == 1:
             raise ValueError("Sp needs even n")
-        st = SimpleType("C", k)
-        maps = _eps_to_fund_rows(st)
-        factors = [build_root_system(st)]
-        row_groups = [maps]
+        types, row_groups = [SimpleType("C", k)], [_eps_to_fund_rows(SimpleType("C", k))]
     elif kind == "so":
-        if n % 2 == 1:
-            types, row_groups = [SimpleType("B", k)], [_eps_to_fund_rows(SimpleType("B", k))]
-        else:
-            types, row_groups = _classical_part(n)
-        factors = [build_root_system(t) for t in types]
+        types, row_groups = _classical_part(n)
     else:
         raise ValueError("kind must be 'so' or 'sp'")
+    factors = [build_root_system(t) for t in types]
     rows = [_dense_row(coeffs, k) for group in row_groups for coeffs in group]
     matrix = int_matrix(matmul(matmul(rows, fold_rows), fund_to_eps))
     source = factors[0] if len(factors) == 1 else ProductRootSystem(factors)
     return Embedding(source, rs, matrix)
 
 
-def module_embedding(rs: RootSystem, source, weights) -> Embedding:
-    """Subgroup of SL_n defined by the weights of its n-dimensional module.
+def _weight_embedding(rs: RootSystem, source: str, weights) -> Embedding:
+    """Subgroup of type ``source`` whose weight on orthogonal coordinate i is ``weights[i]``."""
+    source = root_system(source)
+    rows = tuple(tuple(w[j] for w in weights) for j in range(source.rank))
+    return Embedding(source, rs, int_matrix(matmul(rows, _fund_to_eps(rs))))
+
+
+def module_embedding(rs: RootSystem, source: str, weights) -> Embedding:
+    """Subgroup of SL_n of type ``source`` given by the weights of its n-dimensional module.
 
     ``weights`` lists the source weights of the module in a fixed order; they
     must sum to zero so the map is independent of the trace gauge.
@@ -240,16 +232,13 @@ def module_embedding(rs: RootSystem, source, weights) -> Embedding:
     n = rs.rank + 1
     if len(weights) != n:
         raise ValueError(f"need {n} module weights, got {len(weights)}")
-    if any(sum(w[j] for w in weights) != 0 for j in range(source.rank)):
+    if any(sum(column) for column in zip(*weights)):
         raise ValueError("module weights must sum to zero")
-    fund_to_eps = _fund_to_eps(rs)
-    rows = tuple(tuple(weights[i][j] for i in range(n)) for j in range(source.rank))
-    matrix = int_matrix(matmul(rows, fund_to_eps))
-    return Embedding(source, rs, matrix)
+    return _weight_embedding(rs, source, weights)
 
 
-def orthogonal_module_embedding(rs: RootSystem, source, plane_weights) -> Embedding:
-    """Subgroup of SO_2k defined by the plane weights of its natural module.
+def orthogonal_module_embedding(rs: RootSystem, source: str, plane_weights) -> Embedding:
+    """Subgroup of SO_2k of type ``source`` given by the plane weights of its natural module.
 
     The natural module must decompose into weight planes (w, -w); the list
     gives one weight per plane (zero entries allowed).
@@ -259,10 +248,7 @@ def orthogonal_module_embedding(rs: RootSystem, source, plane_weights) -> Embedd
     k = rs.rank
     if len(plane_weights) != k:
         raise ValueError(f"need {k} plane weights, got {len(plane_weights)}")
-    fund_to_eps = _fund_to_eps(rs)
-    rows = tuple(tuple(plane_weights[i][j] for i in range(k)) for j in range(source.rank))
-    matrix = int_matrix(matmul(rows, fund_to_eps))
-    return Embedding(source, rs, matrix)
+    return _weight_embedding(rs, source, plane_weights)
 
 
 def diagonal_embedding(target: ProductRootSystem, groups) -> Embedding:
@@ -290,15 +276,17 @@ def diagonal_embedding(target: ProductRootSystem, groups) -> Embedding:
 
 def refine_factor(emb: Embedding, index: int, inner: Embedding) -> Embedding:
     """Replace factor ``index`` of the source product by a subgroup of it."""
-    factors = list(emb.source.factors)
-    embs = [identity_embedding(f) for f in factors]
+    embs = [identity_embedding(f) for f in emb.source.factors]
     embs[index] = inner
     return emb.then(product_embedding(embs))
 
 
 # -- named chains used by the tables ------------------------------------------
-
-_A1 = lambda: root_system("A1")
+#
+# A chain is a list of steps folded from the identity on the chain's group.
+# A step ``(make, *args)`` composes with ``make(source, *args)``; a step
+# ``(i, make, *args)`` refines factor ``i`` of the source by
+# ``make(factor, *args)``.  Each step acts on the previous step's source.
 
 _SYM4_A1_WEIGHTS = [(4,), (2,), (0,), (-2,), (-4,)]
 _A2_ADJOINT_WEIGHTS = [
@@ -306,196 +294,122 @@ _A2_ADJOINT_WEIGHTS = [
 ]
 _A2_ORTHOGONAL_PLANES = [(1, 1), (2, -1), (-1, 2), (0, 0)]
 
+_SO3 = (sl_to_classical, "so")
+_D4_TO_A2 = (orthogonal_module_embedding, "A2", _A2_ORTHOGONAL_PLANES)
+_SYM4_A1 = (module_embedding, "A1", _SYM4_A1_WEIGHTS)
+_ADJOINT_A2 = (module_embedding, "A2", _A2_ADJOINT_WEIGHTS)
 
-def _chain_builders():
-    def e8(nodes):
-        return lambda: extended_deletion(root_system("E8"), nodes)
+_E8_D8 = [(extended_deletion, {1})]
+_E7_A1D6 = [(extended_deletion, {1})]
+_F4_B4 = [(extended_deletion, {4})]
+_F4_D4 = _F4_B4 + [(extended_deletion, {4})]
 
-    def e7(nodes):
-        return lambda: extended_deletion(root_system("E7"), nodes)
-
-    def d8_blocks(parts):
-        def build():
-            d8 = extended_deletion(root_system("E8"), {1})
-            return d8.then(so_sum_embedding(root_system("D8"), parts))
-
-        return build
-
-    def b2_cubed():
-        d8 = extended_deletion(root_system("E8"), {1})
-        b2b5 = d8.then(so_sum_embedding(root_system("D8"), [5, 11]))
-        with_d5 = refine_factor(b2b5, 1, extended_deletion(root_system("B5"), {5}))
-        return refine_factor(with_d5, 1, so_sum_embedding(root_system("D5"), [5, 5]))
-
-    def a1_d4():
-        a1a7 = extended_deletion(root_system("E8"), {3})
-        return refine_factor(a1a7, 1, sl_to_classical(root_system("A7"), "so"))
-
-    def e8_b4():
-        a8 = extended_deletion(root_system("E8"), {2})
-        return a8.then(sl_to_classical(root_system("A8"), "so"))
-
-    def e8_g12():
-        a1a2a5 = extended_deletion(root_system("E8"), {4})
-        step = refine_factor(a1a2a5, 1, sl_to_classical(root_system("A2"), "so"))
-        return refine_factor(step, 2, sl_to_classical(root_system("A5"), "so"))
-
-    def e8_sl23():
-        a1a7 = extended_deletion(root_system("E8"), {3})
-        inner = module_embedding(root_system("A7"), root_system("A2"), _A2_ADJOINT_WEIGHTS)
-        return refine_factor(a1a7, 1, inner)
-
-    def e8_sym5():
-        a4a4 = extended_deletion(root_system("E8"), {5})
-        inner = module_embedding(root_system("A4"), _A1(), _SYM4_A1_WEIGHTS)
-        step = refine_factor(refine_factor(a4a4, 0, inner), 1, inner)
-        return step.then(diagonal_embedding(step.source, [[0, 1]]))
-
-    def e8_frob20():
-        a4a4 = extended_deletion(root_system("E8"), {5})
-        inner = sl_to_classical(root_system("A4"), "so")
-        step = refine_factor(refine_factor(a4a4, 0, inner), 1, inner)
-        return step.then(diagonal_embedding(step.source, [[0, 1]]))
-
-    def d4_to_b1():
-        inner = orthogonal_module_embedding(
-            root_system("D4"), root_system("A2"), _A2_ORTHOGONAL_PLANES
-        )
-        return inner.then(sl_to_classical(root_system("A2"), "so"))
-
-    def e8_sym4x2():
-        blocks = d8_blocks([4, 4, 8])()
-        step = blocks.then(
-            diagonal_embedding(blocks.source, [[0], [1, 2, 3], [4]])
-        )
-        return refine_factor(step, 2, d4_to_b1())
-
-    def e8_32dih8():
-        a2e6 = extended_deletion(root_system("E8"), {7})
-        a2_4 = refine_factor(a2e6, 1, extended_deletion(root_system("E6"), {4}))
-        so3 = sl_to_classical(root_system("A2"), "so")
-        for i in range(4):
-            a2_4 = refine_factor(a2_4, i, so3)
-        return a2_4.then(diagonal_embedding(a2_4.source, [[0, 1], [2, 3]]))
-
-    def e7_blocks(parts):
-        def build():
-            a1d6 = extended_deletion(root_system("E7"), {1})
-            return refine_factor(a1d6, 1, so_sum_embedding(root_system("D6"), parts))
-
-        return build
-
-    def e7_dih6():
-        a2a5 = extended_deletion(root_system("E7"), {3})
-        step = refine_factor(a2a5, 0, sl_to_classical(root_system("A2"), "so"))
-        return refine_factor(step, 1, sl_to_classical(root_system("A5"), "so"))
-
-    def e7_alt4():
-        a7 = extended_deletion(root_system("E7"), {2})
-        return a7.then(
-            module_embedding(root_system("A7"), root_system("A2"), _A2_ADJOINT_WEIGHTS)
-        )
-
-    def e7_d4():
-        a7 = extended_deletion(root_system("E7"), {2})
-        return a7.then(sl_to_classical(root_system("A7"), "so"))
-
-    def e7_sym4():
-        blocks = e7_blocks([4, 8])()
-        step = blocks.then(diagonal_embedding(blocks.source, [[0, 1, 2], [3]]))
-        return refine_factor(step, 1, d4_to_b1())
-
-    def f4_b4_blocks(parts):
-        def build():
-            b4 = extended_deletion(root_system("F4"), {4})
-            return b4.then(so_sum_embedding(root_system("B4"), parts))
-
-        return build
-
-    def f4_d4():
-        b4 = extended_deletion(root_system("F4"), {4})
-        return b4.then(extended_deletion(root_system("B4"), {4}))
-
-    def f4_alt4():
-        return f4_d4().then(
-            orthogonal_module_embedding(
-                root_system("D4"), root_system("A2"), _A2_ORTHOGONAL_PLANES
-            )
-        )
-
-    def f4_sym4():
-        return f4_d4().then(d4_to_b1())
-
-    def g2_b1():
-        a2 = extended_deletion(root_system("G2"), {1})
-        return a2.then(sl_to_classical(root_system("A2"), "so"))
-
-    return {
-        ("E8", "d8"): e8({1}),
-        ("E8", "a1e7"): e8({8}),
-        ("E8", "a8"): e8({2}),
-        ("E8", "a2e6"): e8({7}),
-        ("E8", "a1a7"): e8({3}),
-        ("E8", "a3d5"): e8({6}),
-        ("E8", "a4^2"): e8({5}),
-        ("E8", "a1a2a5"): e8({4}),
-        ("E8", "b2b5"): d8_blocks([5, 11]),
-        ("E8", "b2^3"): b2_cubed,
-        ("E8", "b1^5"): d8_blocks([3, 3, 3, 3, 3]),
-        ("E8", "a1^8"): d8_blocks([4, 4, 4, 4]),
-        ("E8", "a1^4d4"): d8_blocks([4, 4, 8]),
-        ("E8", "a1^2b1^2b2"): d8_blocks([4, 3, 3, 5]),
-        ("E8", "a1d4"): a1_d4,
-        ("E8", "b4"): e8_b4,
-        ("E8", "a1a1a3"): e8_g12,
-        ("E8", "a1a2"): e8_sl23,
-        ("E8", "a1-sym5"): e8_sym5,
-        ("E8", "b2-frob20"): e8_frob20,
-        ("E8", "a1a1a1"): e8_sym4x2,
-        ("E8", "a1^2-3^2dih8"): e8_32dih8,
-        ("E7", "a1d6"): e7({1}),
-        ("E7", "a7"): e7({2}),
-        ("E7", "a2a5"): e7({3}),
-        ("E7", "a1a3^2"): e7({4}),
-        ("E7", "a1b1^4"): e7_blocks([3, 3, 3, 3]),
-        ("E7", "a1b1^2b2"): e7_blocks([3, 3, 5]),
-        ("E7", "a1^3d4"): e7_blocks([4, 8]),
-        ("E7", "b1a3"): e7_dih6,
-        ("E7", "a2-alt4"): e7_alt4,
-        ("E7", "d4"): e7_d4,
-        ("E7", "a1b1-sym4"): e7_sym4,
-        ("E6", "a1a5"): lambda: extended_deletion(root_system("E6"), {3}),
-        ("E6", "a2^3"): lambda: extended_deletion(root_system("E6"), {4}),
-        ("F4", "b4"): lambda: extended_deletion(root_system("F4"), {4}),
-        ("F4", "a1c3"): lambda: extended_deletion(root_system("F4"), {1}),
-        ("F4", "a2a2"): lambda: extended_deletion(root_system("F4"), {2}),
-        ("F4", "a1a3"): lambda: extended_deletion(root_system("F4"), {3}),
-        ("F4", "b1^3"): f4_b4_blocks([3, 3, 3]),
-        ("F4", "b1b2"): f4_b4_blocks([3, 5]),
-        ("F4", "a1^4"): f4_b4_blocks([4, 4]),
-        ("F4", "d4"): f4_d4,
-        ("F4", "a2-alt4"): f4_alt4,
-        ("F4", "b1-sym4"): f4_sym4,
-        ("G2", "a2"): lambda: extended_deletion(root_system("G2"), {1}),
-        ("G2", "a1a1"): lambda: extended_deletion(root_system("G2"), {2}),
-        ("G2", "b1"): g2_b1,
-    }
-
-
-_CHAINS = _chain_builders()
-_chain_cache: dict = {}
+_CHAINS = {
+    ("E8", "d8"): _E8_D8,
+    ("E8", "a1e7"): [(extended_deletion, {8})],
+    ("E8", "a8"): [(extended_deletion, {2})],
+    ("E8", "a2e6"): [(extended_deletion, {7})],
+    ("E8", "a1a7"): [(extended_deletion, {3})],
+    ("E8", "a3d5"): [(extended_deletion, {6})],
+    ("E8", "a4^2"): [(extended_deletion, {5})],
+    ("E8", "a1a2a5"): [(extended_deletion, {4})],
+    ("E8", "b2b5"): _E8_D8 + [(so_sum_embedding, [5, 11])],
+    ("E8", "b2^3"): _E8_D8 + [
+        (so_sum_embedding, [5, 11]),
+        (1, extended_deletion, {5}),
+        (1, so_sum_embedding, [5, 5]),
+    ],
+    ("E8", "b1^5"): _E8_D8 + [(so_sum_embedding, [3, 3, 3, 3, 3])],
+    ("E8", "a1^8"): _E8_D8 + [(so_sum_embedding, [4, 4, 4, 4])],
+    ("E8", "a1^4d4"): _E8_D8 + [(so_sum_embedding, [4, 4, 8])],
+    ("E8", "a1^2b1^2b2"): _E8_D8 + [(so_sum_embedding, [4, 3, 3, 5])],
+    ("E8", "a1d4"): [(extended_deletion, {3}), (1, *_SO3)],
+    ("E8", "b4"): [(extended_deletion, {2}), _SO3],
+    ("E8", "a1a1a3"): [(extended_deletion, {4}), (1, *_SO3), (2, *_SO3)],
+    ("E8", "a1a2"): [(extended_deletion, {3}), (1, *_ADJOINT_A2)],
+    ("E8", "a1-sym5"): [
+        (extended_deletion, {5}),
+        (0, *_SYM4_A1),
+        (1, *_SYM4_A1),
+        (diagonal_embedding, [[0, 1]]),
+    ],
+    ("E8", "b2-frob20"): [
+        (extended_deletion, {5}),
+        (0, *_SO3),
+        (1, *_SO3),
+        (diagonal_embedding, [[0, 1]]),
+    ],
+    ("E8", "a1a1a1"): _E8_D8 + [
+        (so_sum_embedding, [4, 4, 8]),
+        (diagonal_embedding, [[0], [1, 2, 3], [4]]),
+        (2, *_D4_TO_A2),
+        (2, *_SO3),
+    ],
+    ("E8", "a1^2-3^2dih8"): [
+        (extended_deletion, {7}),
+        (1, extended_deletion, {4}),
+        (0, *_SO3),
+        (1, *_SO3),
+        (2, *_SO3),
+        (3, *_SO3),
+        (diagonal_embedding, [[0, 1], [2, 3]]),
+    ],
+    ("E7", "a1d6"): _E7_A1D6,
+    ("E7", "a7"): [(extended_deletion, {2})],
+    ("E7", "a2a5"): [(extended_deletion, {3})],
+    ("E7", "a1a3^2"): [(extended_deletion, {4})],
+    ("E7", "a1b1^4"): _E7_A1D6 + [(1, so_sum_embedding, [3, 3, 3, 3])],
+    ("E7", "a1b1^2b2"): _E7_A1D6 + [(1, so_sum_embedding, [3, 3, 5])],
+    ("E7", "a1^3d4"): _E7_A1D6 + [(1, so_sum_embedding, [4, 8])],
+    ("E7", "b1a3"): [(extended_deletion, {3}), (0, *_SO3), (1, *_SO3)],
+    ("E7", "a2-alt4"): [(extended_deletion, {2}), _ADJOINT_A2],
+    ("E7", "d4"): [(extended_deletion, {2}), _SO3],
+    ("E7", "a1b1-sym4"): _E7_A1D6 + [
+        (1, so_sum_embedding, [4, 8]),
+        (diagonal_embedding, [[0, 1, 2], [3]]),
+        (1, *_D4_TO_A2),
+        (1, *_SO3),
+    ],
+    ("E6", "a1a5"): [(extended_deletion, {3})],
+    ("E6", "a2^3"): [(extended_deletion, {4})],
+    ("F4", "b4"): _F4_B4,
+    ("F4", "a1c3"): [(extended_deletion, {1})],
+    ("F4", "a2a2"): [(extended_deletion, {2})],
+    ("F4", "a1a3"): [(extended_deletion, {3})],
+    ("F4", "b1^3"): _F4_B4 + [(so_sum_embedding, [3, 3, 3])],
+    ("F4", "b1b2"): _F4_B4 + [(so_sum_embedding, [3, 5])],
+    ("F4", "a1^4"): _F4_B4 + [(so_sum_embedding, [4, 4])],
+    ("F4", "d4"): _F4_D4,
+    ("F4", "a2-alt4"): _F4_D4 + [_D4_TO_A2],
+    ("F4", "b1-sym4"): _F4_D4 + [_D4_TO_A2, _SO3],
+    ("G2", "a2"): [(extended_deletion, {1})],
+    ("G2", "a1a1"): [(extended_deletion, {2})],
+    ("G2", "b1"): [(extended_deletion, {1}), _SO3],
+}
 
 
 def chain_names(group: str) -> list:
-    return sorted(name for g, name in _CHAINS if g == group)
+    names = sorted(name for g, name in _CHAINS if g == group)
+    if not names:
+        raise KeyError(f"no chains registered for {group}")
+    return names
+
+
+@cache
+def _build_chain(group: str, name: str) -> Embedding:
+    emb = identity_embedding(root_system(group))
+    for step in _CHAINS[group, name]:
+        if isinstance(step[0], int):
+            index, make, *args = step
+            emb = refine_factor(emb, index, make(emb.source.factors[index], *args))
+        else:
+            make, *args = step
+            emb = emb.then(make(emb.source, *args))
+    return emb
 
 
 def named_chain(group: str, name: str) -> Embedding:
     """A shipped embedding chain, e.g. ('E8', 'b2^3')."""
-    key = (group, name)
-    if key not in _CHAINS:
+    if (group, name) not in _CHAINS:
         raise KeyError(f"no chain named {name!r} for {group}")
-    if key not in _chain_cache:
-        emb = _CHAINS[key]()
-        _chain_cache[key] = Embedding(emb.source, emb.target, emb.matrix, name)
-    return _chain_cache[key]
+    return _build_chain(group, name)

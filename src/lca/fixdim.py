@@ -159,7 +159,6 @@ def solve_traces(group: str, rows, known: TraceTable):
     """
     table = known.copy()
     adjoint = ADJOINT_DIMENSION[group]
-    rows = sorted(rows, key=lambda r: r.key)
     findings: list = []
     reported: set = set()
     progress = True

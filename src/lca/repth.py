@@ -200,7 +200,6 @@ class Embedding:
     source: object
     target: object
     matrix: tuple
-    name: str = ""
 
     def map_weight(self, w) -> tuple:
         return tuple(
@@ -209,9 +208,7 @@ class Embedding:
 
     def then(self, inner: "Embedding") -> "Embedding":
         """Compose with a further embedding into this one's source."""
-        m = matmul(inner.matrix, self.matrix)
-        name = f"{self.name}>{inner.name}" if self.name and inner.name else ""
-        return Embedding(inner.source, self.target, m, name)
+        return Embedding(inner.source, self.target, matmul(inner.matrix, self.matrix))
 
 
 def restrict(char: Character, emb: Embedding) -> Character:

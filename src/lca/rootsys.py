@@ -395,6 +395,9 @@ class SemisimpleTypeLabel:
 
     @staticmethod
     def parse(text: str) -> "SemisimpleTypeLabel":
+        """Inverse of ``str``; ``1`` is the label with no factors."""
+        if text.strip() == "1":
+            return SemisimpleTypeLabel(())
         factors = []
         for token in text.replace(" ", "").split("*"):
             if not token:
@@ -423,7 +426,7 @@ class SemisimpleTypeLabel:
                 body = ("~" if bar else "") + str(st)
                 out.append(body if count == 1 else f"{body}^{count}")
             run, count = fac, 1
-        return "*".join(out)
+        return "*".join(out) or "1"
 
     @property
     def dimension(self) -> int:

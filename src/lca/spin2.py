@@ -114,13 +114,8 @@ class SOCentralizer:
 
 
 _SO_FACTORS = {
-    3: ("B1",),
     4: ("A1", "A1"),
-    5: ("B2",),
     6: ("A3",),
-    7: ("B3",),
-    8: ("D4",),
-    9: ("B4",),
 }
 
 

@@ -206,6 +206,8 @@ def test_criterion_7_full_audit(capsys):
 
 
 def test_criterion_8_property_suites():
+    # each suite body runs once per session; pytest's own call of the same
+    # test replays the outcome (test_properties.once_per_session)
     import test_properties as props
 
     props.test_weyl_dimension_equals_multiplicity_sum_sweep()

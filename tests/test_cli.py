@@ -131,6 +131,37 @@ def test_usage_errors(capture):
     assert status == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["branch", "E8", "nonsense"], "no chain named 'nonsense' for E8"),
+        (["branch", "Q9"], "no chains registered for Q9"),
+        (["fixdim", "--group", "E8", "--fusion", "2Z^3"], "no trace for class 2Z of E8"),
+        (["trace", "E8", "9Z"], "no inner class '9Z' in E8"),
+    ],
+    ids=["unknown-chain", "group-without-chains", "fixdim-unknown-class", "trace-unknown-class"],
+)
+def test_lookup_errors_are_unquoted(capture, argv, message):
+    assert capture(*argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "vectors, text, torus_blocks",
+    [
+        (["(-1^2,1^2)", "(1^2,-1^2)", "(-1,1,-1,1)"], "Q8x2, centralizer 1\n", 0),
+        (["(-1^2,1^2)", "(-1^4)"], "4x2, centralizer 1, 2 torus block(s)\n", 2),
+    ],
+    ids=["Q8x2", "4x2"],
+)
+def test_classify_2group_empty_centralizer_is_printed_as_1(capture, vectors, text, torus_blocks):
+    assert capture("classify-2group", "--n", "4", *vectors) == (0, text, "")
+    status, out, _ = capture("classify-2group", "--n", "4", *vectors, "--json")
+    assert status == 0
+    payload = json.loads(out)
+    assert payload["centralizer"] == "1"
+    assert payload["torus_blocks"] == torus_blocks
+
+
 def test_verify_exit_one_when_flags_removed(tmp_path, monkeypatch, capsys):
     import shutil
 

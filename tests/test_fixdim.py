@@ -101,8 +101,10 @@ def test_solve_traces_marks_undetermined(traces):
 def test_solve_traces_order_independent(traces):
     import random
 
-    stripped = traces.without("E8", "4B").without("E8", "6A")
+    # 6A is reachable only after cyc2a has solved 2A, whatever the row order
+    stripped = traces.without("E8", "2A").without("E8", "4B").without("E8", "6A")
     rows = [
+        SolveRow("cyc2a", ClassFusion.parse("2A"), 136),
         SolveRow("cyc4b", ClassFusion.parse("2B,4B^2"), 60),
         SolveRow("cyc6", ClassFusion.parse("2A,3B^2,6A^2"), 46),
         SolveRow("frob20", ClassFusion.parse("2B^5,4B^10,5A^4"), 10),
@@ -112,7 +114,10 @@ def test_solve_traces_order_independent(traces):
     for seed in range(5):
         shuffled = rows[:]
         random.Random(seed).shuffle(shuffled)
-        solved, _ = solve_traces("E8", shuffled, stripped)
+        solved, findings = solve_traces("E8", shuffled, stripped)
+        assert findings == ()
+        for label in ("2A", "4B", "6A"):
+            assert solved.get("E8", label) == traces.get("E8", label)
         snapshot = sorted((k, str(v[0]), v[1]) for k, v in solved.entries.items())
         if reference is None:
             reference = snapshot

@@ -10,6 +10,7 @@ the full dimension range are exercised.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from lca.embed import extended_deletion, sl_to_classical, so_sum_embedding
@@ -36,6 +37,31 @@ HEAVY_SAMPLES = 2  # seeded heavy checks per type
 HEAVY_LIMIT = 120  # dominant-weight ceiling for sampled heavy checks
 
 
+_OUTCOMES: dict = {}
+
+
+def once_per_session(suite):
+    """Run the suite body at most once per session and replay its outcome.
+
+    The acceptance gate calls these suites as well as pytest collecting them;
+    both see the same pass or the same failure from one run.
+    """
+
+    @functools.wraps(suite)
+    def run():
+        if suite not in _OUTCOMES:
+            try:
+                suite()
+            except Exception as exc:
+                _OUTCOMES[suite] = exc
+                raise
+            _OUTCOMES[suite] = None
+        if _OUTCOMES[suite] is not None:
+            raise _OUTCOMES[suite]
+
+    return run
+
+
 def _verify_multiplicity_sum(rs, lam, dim):
     char = dominant_character(rs, lam)
     assert char.dimension == dim, (rs.label(), lam)
@@ -50,6 +76,7 @@ def _verify_via_orbit_orders(rs, lam, dim):
     assert total == dim, (rs.label(), lam)
 
 
+@once_per_session
 def test_weyl_dimension_equals_multiplicity_sum_sweep():
     rng = random.Random(20260808)
     enumerated = 0
@@ -111,6 +138,7 @@ def _random_dominant_weight(rng, rs, bound):
         lam = list(rng.choice(candidates))
 
 
+@once_per_session
 def test_restriction_preserves_dimension_randomized():
     rng = random.Random(1729)
     deletion_pool = ["A3", "A4", "B3", "B4", "C3", "C4", "D4", "D5", "F4", "G2", "E6"]
@@ -147,6 +175,7 @@ def test_restriction_preserves_dimension_randomized():
     assert checked == 1000
 
 
+@once_per_session
 def test_eigen_partition_monotone_seeded():
     rng = random.Random(9)
     for _ in range(300):
@@ -166,6 +195,7 @@ def test_eigen_partition_monotone_seeded():
             previous = current
 
 
+@once_per_session
 def test_fixed_point_dimension_integral_on_all_rows():
     tables = load_tables()
     traces, _ = assemble_traces(tables)
@@ -185,6 +215,7 @@ def test_fixed_point_dimension_integral_on_all_rows():
     assert non_integral == [("e8", "Sym4x2")]
 
 
+@once_per_session
 def test_solve_traces_order_independent_full_tables():
     tables = load_tables()
     by_group: dict = {}

@@ -236,17 +236,24 @@ def test_spin_module_stepwise_restrictions():
 
 
 def test_branching_golden_files(capsys):
+    """``branch <G> <chain> --json`` for every registered chain, byte for byte."""
     import os
+    import re
 
     from lca.cli import run as cli_run
+    from lca.embed import _CHAINS, chain_names
 
-    golden_dir = os.path.join(os.path.dirname(__file__), "golden")
-    for chain, filename in [
-        ("d8", "branch_e8_d8.json"),
-        ("a1a7", "branch_e8_a1a7.json"),
-        ("b2^3", "branch_e8_b23.json"),
-    ]:
-        assert cli_run(["branch", "E8", chain, "--json"]) == 0
-        produced = capsys.readouterr().out
-        frozen = open(os.path.join(golden_dir, filename)).read()
-        assert produced == frozen, f"golden drift for chain {chain}"
+    path = os.path.join(os.path.dirname(__file__), "golden", "branch_chains.txt")
+    with open(path) as fh:
+        sections = re.split(r"^### (\S+) (\S+)\n", fh.read(), flags=re.M)
+    frozen = {
+        (group, chain): out
+        for group, chain, out in zip(sections[1::3], sections[2::3], sections[3::3])
+    }
+    assert sections[0] == "" and len(frozen) == 48
+    assert set(_CHAINS) == set(frozen)
+    for group in sorted({g for g, _ in frozen}):
+        for chain in chain_names(group):
+            assert cli_run(["branch", group, chain, "--json"]) == 0
+            produced = capsys.readouterr().out
+            assert produced == frozen[group, chain], f"golden drift for {group} {chain}"

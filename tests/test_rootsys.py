@@ -167,6 +167,13 @@ def test_semisimple_label_arithmetic():
     assert str(SemisimpleTypeLabel.parse("A1*A1*A1")) == "A1^3"
 
 
+def test_empty_label_prints_and_parses_as_1():
+    empty = SemisimpleTypeLabel.of()
+    assert str(empty) == "1"
+    assert SemisimpleTypeLabel.parse("1") == empty
+    assert (empty.dimension, empty.rank) == (0, 0)
+
+
 def test_classify_subdiagram_on_extended_deletions():
     expected = {
         ("E8", 1): "D8",
