@@ -57,15 +57,13 @@ def subsystem_embedding(rs: RootSystem, nodes) -> Embedding:
     coords = {k: c for k, c in nodes}
     factors = [build_root_system(st) for st, _ in comps]
     source = factors[0] if len(factors) == 1 else ProductRootSystem(factors)
-    rows = []
-    basis = [tuple(1 if j == i else 0 for j in range(rs.rank)) for i in range(rs.rank)]
-    for _, ordered in comps:
-        for key in ordered:
-            beta = coords[key]
-            rows.append(
-                tuple(rs.pairing_with_coroot(basis[j], beta) for j in range(rs.rank))
-            )
-    return Embedding(source, rs, tuple(rows))
+    # row of node beta: <omega_j, beta-coroot> over j, the coroot's coordinates
+    rows = tuple(
+        rs.coroot(coords[key], rs.root_norm(coords[key]))
+        for _, ordered in comps
+        for key in ordered
+    )
+    return Embedding(source, rs, rows)
 
 
 def extended_deletion(rs: RootSystem, removed) -> Embedding:

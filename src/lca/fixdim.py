@@ -46,11 +46,10 @@ class ClassFusion:
         for token in text.replace(" ", "").split(","):
             if not token:
                 continue
-            if "^" in token:
-                label, count = token.split("^", 1)
-                entries.append((label, int(count)))
-            else:
-                entries.append((token, 1))
+            label, caret, count = token.partition("^")
+            if not label:
+                raise ValueError(f"empty class label in fusion token {token!r}")
+            entries.append((label, int(count) if caret else 1))
         total = 1 + sum(c for _, c in entries)
         if group_order is None:
             group_order = total

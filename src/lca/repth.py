@@ -3,16 +3,16 @@
 The currency throughout is the Character: a finite multiset of weights in
 fundamental coordinates with positive integer multiplicities, stable under
 the Weyl group of its ambient (a simple root system or a product).  All
-arithmetic is exact; dimensions are plain integers.
+arithmetic is exact and integral: dimensions, multiplicities and the weight
+order <w, 2 rho-check> are plain integers, and no ``Fraction`` occurs here.
+Semisimplification reads only the dominant weights of a character.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import matmul
-
-_char_cache: dict = {}
+from .linalg import dot, matmul
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,10 @@ def weyl_dimension(ambient, lam) -> int:
     rho = _rho(ambient)
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
     num = den = 1
-    for alpha in ambient.positive_roots_fund:
-        num *= ambient.inner(lam_rho, alpha)
-        den *= ambient.inner(rho, alpha)
+    # (lam + rho, alpha) / (rho, alpha) = <lam + rho, alpha-coroot> / <rho, alpha-coroot>
+    for coroot in ambient.positive_coroots:
+        num *= dot(lam_rho, coroot)
+        den *= dot(rho, coroot)
     result, remainder = divmod(num, den)
     if remainder:
         raise AssertionError("Weyl dimension did not come out integral")
@@ -92,7 +93,8 @@ def dominant_weights(ambient, lam) -> list:
                     seen.add(nu)
                     nxt.append(nu)
         frontier = nxt
-    return sorted(seen, key=lambda w: (-ambient.height(w), w))
+    key = ambient.two_rho_check
+    return sorted(seen, key=lambda w: (-dot(key, w), w))
 
 
 def _freudenthal_multiplicities(ambient, lam) -> dict:
@@ -124,22 +126,31 @@ def _freudenthal_multiplicities(ambient, lam) -> dict:
     return mults
 
 
+def _dominant_multiplicities(ambient, lam) -> dict:
+    """Multiplicities of V(lam) on its dominant weights.
+
+    Freudenthal runs on each simple factor, and a product's table is the
+    product of its factors' tables.
+    """
+    table = {(): 1}
+    offset = 0
+    for f in ambient.factors:
+        part = _freudenthal_multiplicities(f, lam[offset : offset + f.rank])
+        table = {w + v: m * n for w, m in table.items() for v, n in part.items()}
+        offset += f.rank
+    return table
+
+
 def dominant_character(ambient, lam) -> Character:
     """Full weight multiset of the irreducible with highest weight lam."""
     lam = tuple(lam)
     if not ambient.is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
-    key = (ambient.label(), lam)
-    cached = _char_cache.get(key)
-    if cached is not None:
-        return Character(ambient, cached)
     weights: dict = {}
-    for mu, m in _freudenthal_multiplicities(ambient, lam).items():
+    for mu, m in _dominant_multiplicities(ambient, lam).items():
         for w in ambient.weyl_orbit(mu):
             weights[w] = m
-    char = Character.from_dict(ambient, weights)
-    _char_cache[key] = char.entries
-    return char
+    return Character.from_dict(ambient, weights)
 
 
 def adjoint_character(rs) -> Character:
@@ -152,29 +163,36 @@ def adjoint_character(rs) -> Character:
 
 
 def semisimplify(char: Character) -> tuple:
-    """Composition factors of a character, greedily extracted.
+    """Composition factors (highest weight, multiplicity), highest first.
 
-    Repeatedly removes the full irreducible character of the remaining
-    maximal-by-height dominant weight.  A negative multiplicity along the way
-    means the input was not a genuine character and raises ValueError.
+    Works on dominant weights only.  They are walked once, from the top down
+    by the integer key <w, 2 rho-check> (twice the height); each weight still
+    left is a factor, whose dominant multiplicities are peeled off.  Two
+    checks reject what is not a genuine character with ValueError: every
+    weight must have the multiplicity of its dominant conjugate, and the
+    factor dimensions must add up to the character's dimension.
     """
     ambient = char.ambient
-    remaining = dict(char.entries)
+    remaining = {w: m for w, m in char.entries if ambient.is_dominant(w)}
+    for w, m in char.entries:
+        if remaining.get(ambient.dominantize(w)) != m:
+            raise ValueError(
+                f"multiplicity of {w} differs from its dominant conjugate's; not a character"
+            )
+    key = ambient.two_rho_check
     factors = []
-    while remaining:
-        mu = max(remaining, key=lambda w: (ambient.height(w), w))
-        if not ambient.is_dominant(mu):
-            raise ValueError(f"maximal weight {mu} is not dominant; not a character")
+    for mu in sorted(remaining, key=lambda w: (dot(key, w), w), reverse=True):
         mult = remaining[mu]
-        for w, m in dominant_character(ambient, mu).entries:
+        if not mult:
+            continue
+        for w, m in _dominant_multiplicities(ambient, mu).items():
             left = remaining.get(w, 0) - mult * m
             if left < 0:
                 raise ValueError(f"multiplicity of {w} driven negative; not a character")
-            if left == 0:
-                remaining.pop(w, None)
-            else:
-                remaining[w] = left
+            remaining[w] = left
         factors.append((mu, mult))
+    if sum(mult * weyl_dimension(ambient, mu) for mu, mult in factors) != char.dimension:
+        raise ValueError("factor dimensions do not add up to the dimension; not a character")
     return tuple(factors)
 
 

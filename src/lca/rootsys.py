@@ -2,17 +2,18 @@
 
 Roots are stored as integer coordinate vectors in the simple-root basis;
 weights as integer vectors in the fundamental-weight basis.  The Cartan and
-Gram matrices, norms and coroot pairings are plain integers; ``Fraction``
-appears only where a division happens: the symmetrizer's search and the
-inverse Cartan matrix behind ``weight_to_root_coords`` and ``height``.  Node
-numbering follows the standard Bourbaki labelling throughout.
+Gram matrices, norms, coroots and coroot pairings are plain integers, and so
+is the weight order ``<w, 2 rho-check>``; ``Fraction`` appears only where a
+division happens: the symmetrizer's search and the inverse Cartan matrix
+behind ``weight_to_root_coords`` and ``gram_fund``, which is built on first
+use.  Node numbering follows the standard Bourbaki labelling throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .linalg import Matrix, dot, invert, matvec, transpose
@@ -144,19 +145,21 @@ class RootSystem:
             for i in range(self.rank)
         )
         self._close_roots()
-        at_inv = invert(transpose(self.cartan))
-        self._cartan_t_inv = at_inv
-        # (mu, nu) on fundamental coordinates, scaled by a global integer so
-        # that entries are integral; all uses are ratios of inner products
-        fund = [
-            [self.d[i] * at_inv[i][j] for j in range(self.rank)] for i in range(self.rank)
-        ]
-        self.gram_scale = lcm(*(x.denominator for row in fund for x in row))
-        self.gram_fund: Matrix = tuple(
-            tuple(int(x * self.gram_scale) for x in row) for row in fund
-        )
-        self._height_vec = tuple(sum(col) for col in zip(*at_inv))
         self.positive_roots_fund = tuple(self.root_to_weight(c) for c in self.positive_roots)
+
+    @cached_property
+    def _cartan_t_inv(self) -> Matrix:
+        return invert(transpose(self.cartan))
+
+    @cached_property
+    def gram_fund(self) -> Matrix:
+        """(omega_i, omega_j), times one integer that makes every entry integral.
+
+        Every use is a ratio of inner products, so the scale cancels.
+        """
+        fund = [[d * x for x in row] for d, row in zip(self.d, self._cartan_t_inv)]
+        scale = lcm(*(x.denominator for row in fund for x in row))
+        return tuple(tuple(int(x * scale) for x in row) for row in fund)
 
     def _close_roots(self):
         simple = [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
@@ -196,25 +199,43 @@ class RootSystem:
     def weight_to_root_coords(self, weight) -> tuple[Fraction, ...]:
         return matvec(self._cartan_t_inv, weight)
 
-    def height(self, weight) -> Fraction:
-        return dot(self._height_vec, weight)
-
     def inner(self, mu, nu) -> int:
         return dot(mu, matvec(self.gram_fund, nu))
 
     def root_norm(self, coords) -> int:
         return dot(coords, matvec(self.gram, coords))
 
-    def pairing_with_coroot(self, weight, root_coords) -> int:
-        """<weight, root-coroot> = 2 (weight, root) / (root, root).
+    def coroot(self, root_coords, norm: int) -> tuple[int, ...]:
+        """Simple-coroot coordinates of 2 root / (root, root), given that norm.
 
-        Integral for every root; a remainder means ``root_coords`` is not one.
+        Coordinate j is <omega_j, root-coroot>.  Integral for every root; a
+        remainder means ``root_coords`` is not one.
         """
-        num = 2 * sum(weight[j] * self.d[j] * root_coords[j] for j in range(self.rank))
-        value, remainder = divmod(num, self.root_norm(root_coords))
-        if remainder:
-            raise ValueError(f"{tuple(root_coords)} is not a root of {self.type}")
-        return value
+        out = []
+        for c, d in zip(root_coords, self.d):
+            value, remainder = divmod(2 * d * c, norm)
+            if remainder:
+                raise ValueError(f"{tuple(root_coords)} is not a root of {self.type}")
+            out.append(value)
+        return tuple(out)
+
+    def pairing_with_coroot(self, weight, root_coords) -> int:
+        """<weight, root-coroot> = 2 (weight, root) / (root, root)."""
+        return dot(weight, self.coroot(root_coords, self.root_norm(root_coords)))
+
+    @cached_property
+    def positive_coroots(self) -> tuple[tuple[int, ...], ...]:
+        """The coroots of the positive roots, in simple-coroot coordinates."""
+        return tuple(self.coroot(c, self.root_norm(c)) for c in self.positive_roots)
+
+    @cached_property
+    def two_rho_check(self) -> tuple[int, ...]:
+        """The sum of the positive coroots, in simple-coroot coordinates.
+
+        ``dot(two_rho_check, w)`` is <w, 2 rho-check>, twice the height of the
+        weight w: the integer key that orders weights from the top down.
+        """
+        return tuple(map(sum, zip(*self.positive_coroots)))
 
     # -- Weyl group action ------------------------------------------------
 
@@ -227,10 +248,12 @@ class RootSystem:
     def dominantize(self, weight) -> tuple[int, ...]:
         w = tuple(weight)
         while True:
-            i = next((k for k in range(self.rank) if w[k] < 0), None)
-            if i is None:
+            for i, m in enumerate(w):
+                if m < 0:
+                    w = tuple(x - m * a for x, a in zip(w, self.cartan[i]))
+                    break
+            else:
                 return w
-            w = self.reflect(w, i)
 
     def is_dominant(self, weight) -> bool:
         return all(x >= 0 for x in weight)
@@ -312,17 +335,6 @@ class ProductRootSystem:
         self.positive_roots_fund = tuple(
             self._pad(i, w) for i, f in enumerate(self.factors) for w in f.positive_roots_fund
         )
-        # bring every factor's scaled Gram matrix to one common scale
-        self.gram_scale = common = lcm(*(f.gram_scale for f in self.factors))
-        self.gram_fund = _block_diagonal(
-            [
-                tuple(
-                    tuple(x * (common // f.gram_scale) for x in row) for row in f.gram_fund
-                )
-                for f in self.factors
-            ]
-        )
-        self._height_vec = tuple(x for f in self.factors for x in f._height_vec)
 
     def _pad(self, idx: int, weight) -> tuple[int, ...]:
         off = self._offsets[idx]
@@ -335,11 +347,15 @@ class ProductRootSystem:
             tuple(weight[o : o + f.rank]) for o, f in zip(self._offsets, self.factors)
         )
 
-    def height(self, weight) -> Fraction:
-        return dot(self._height_vec, weight)
+    @cached_property
+    def positive_coroots(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            self._pad(i, c) for i, f in enumerate(self.factors) for c in f.positive_coroots
+        )
 
-    def inner(self, mu, nu) -> int:
-        return dot(mu, matvec(self.gram_fund, nu))
+    @cached_property
+    def two_rho_check(self) -> tuple[int, ...]:
+        return tuple(x for f in self.factors for x in f.two_rho_check)
 
     def is_dominant(self, weight) -> bool:
         return all(x >= 0 for x in weight)
@@ -360,18 +376,6 @@ class ProductRootSystem:
 
     def __repr__(self):
         return f"ProductRootSystem({self.label()})"
-
-
-def _block_diagonal(blocks) -> Matrix:
-    n = sum(len(b) for b in blocks)
-    out = [[0] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                out[off + i][off + j] = x
-        off += len(b)
-    return tuple(tuple(row) for row in out)
 
 
 # -- semisimple type labels -------------------------------------------------
@@ -460,13 +464,10 @@ def classify_subdiagram(rs: RootSystem, nodes):
     (family, rank, keys).
     """
     keys = [k for k, _ in nodes]
-    coords = {k: c for k, c in nodes}
-    pair = {
-        (a, b): rs.pairing_with_coroot(rs.root_to_weight(coords[a]), coords[b])
-        for a in keys
-        for b in keys
-    }
-    norm = {k: rs.root_norm(coords[k]) for k in keys}
+    norm = {k: rs.root_norm(c) for k, c in nodes}
+    fund = {k: rs.root_to_weight(c) for k, c in nodes}
+    coroot = {k: rs.coroot(c, norm[k]) for k, c in nodes}
+    pair = {(a, b): dot(fund[a], coroot[b]) for a in keys for b in keys}
     adj = {k: sorted(j for j in keys if j != k and pair[(k, j)] != 0) for k in keys}
 
     components = []

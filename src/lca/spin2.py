@@ -281,8 +281,10 @@ def classical_centralizer(block_dims, ambient: str) -> SemisimpleTypeLabel:
     fill the space; orthogonal blocks must be at least 3 and may leave one
     dimension over.
     """
-    kind = ambient[:2].upper()
-    dim = int(ambient[2:])
+    kind, digits = ambient[:2].upper(), ambient[2:]
+    if kind not in ("SP", "SO") or not digits.isdecimal():
+        raise ValueError(f"ambient must be Sp2n or SOn, got {ambient!r}")
+    dim = int(digits)
     if kind == "SP":
         if dim % 2 or sum(block_dims) != dim:
             raise ValueError(f"Sp blocks {block_dims} must fill dimension {dim}")
@@ -292,16 +294,14 @@ def classical_centralizer(block_dims, ambient: str) -> SemisimpleTypeLabel:
                 raise ValueError(f"odd symplectic block of size {b}")
             factors.append(SimpleType("C", b // 2))
         return SemisimpleTypeLabel.of(*factors)
-    if kind == "SO":
-        if sum(block_dims) not in (dim, dim - 1):
-            raise ValueError(f"SO blocks {block_dims} must fill {dim} or {dim}-1")
-        if any(b < 3 for b in block_dims):
-            raise ValueError("SO blocks of size < 3 are tori or trivial")
-        factors = []
-        for b in block_dims:
-            factors.extend(_so_label(b))
-        return SemisimpleTypeLabel.of(*factors)
-    raise ValueError(f"ambient must be Sp2n or SOn, got {ambient!r}")
+    if sum(block_dims) not in (dim, dim - 1):
+        raise ValueError(f"SO blocks {block_dims} must fill {dim} or {dim}-1")
+    if any(b < 3 for b in block_dims):
+        raise ValueError("SO blocks of size < 3 are tori or trivial")
+    factors = []
+    for b in block_dims:
+        factors.extend(_so_label(b))
+    return SemisimpleTypeLabel.of(*factors)
 
 
 def classically_irreducible(summands) -> bool:

@@ -12,6 +12,15 @@ from functools import lru_cache
 
 from lca.rootsys import RootSystem
 
+# every admissible simple type of rank at most 8
+ALL_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(1, 9)]
+    + [f"C{n}" for n in range(1, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
 
 def reflection_closure_count(rs: RootSystem) -> int:
     """Count roots by a fresh reflection closure over simple-root coordinates."""

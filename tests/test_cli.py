@@ -138,8 +138,22 @@ def test_usage_errors(capture):
         (["branch", "Q9"], "no chains registered for Q9"),
         (["fixdim", "--group", "E8", "--fusion", "2Z^3"], "no trace for class 2Z of E8"),
         (["trace", "E8", "9Z"], "no inner class '9Z' in E8"),
+        (["fixdim", "--group", "E8", "--fusion", "2A,,^2"],
+         "empty class label in fusion token '^2'"),
+        (["fixdim", "--group", "E8", "--fusion", "^3"], "empty class label in fusion token '^3'"),
+        (["classical-centralizer", "--ambient", "SO", "4"], "ambient must be Sp2n or SOn, got 'SO'"),
+        (["classical-centralizer", "--ambient", "Sp", "4"], "ambient must be Sp2n or SOn, got 'Sp'"),
     ],
-    ids=["unknown-chain", "group-without-chains", "fixdim-unknown-class", "trace-unknown-class"],
+    ids=[
+        "unknown-chain",
+        "group-without-chains",
+        "fixdim-unknown-class",
+        "trace-unknown-class",
+        "fusion-empty-label",
+        "fusion-lone-count",
+        "ambient-SO-without-dimension",
+        "ambient-Sp-without-dimension",
+    ],
 )
 def test_lookup_errors_are_unquoted(capture, argv, message):
     assert capture(*argv) == (2, "", f"error: {message}\n")
@@ -181,12 +195,14 @@ def test_verify_exit_one_when_flags_removed(tmp_path, monkeypatch, capsys):
     [
         ("table_e8.txt", "E8|2^2|4|D4^2|2B^3|||", "E8|2^2|4|D4^2|2B^x|||",
          "table_e8.txt line 6: field fusion:"),
+        ("table_e8.txt", "E8|2^2|4|D4^2|2B^3|||", "E8|2^2|4|D4^2|^3|||",
+         "table_e8.txt line 6: field fusion: empty class label in fusion token '^3'"),
         ("table_elements.txt", "E8|2B|2|D8||", "E8|2B|two|D8||",
          "table_elements.txt line 8: field order:"),
         ("table_elements.txt", "E8|3A|3|A8||", "E8|3A|3|H8||",
          "table_elements.txt line 9: field centralizer:"),
     ],
-    ids=["fusion", "order", "centralizer"],
+    ids=["fusion", "fusion-empty-label", "order", "centralizer"],
 )
 def test_malformed_table_field_is_located(tmp_path, monkeypatch, capture, name, line, new, where):
     for fname in os.listdir(DATA):
@@ -200,6 +216,14 @@ def test_malformed_table_field_is_located(tmp_path, monkeypatch, capture, name, 
     assert status == 2
     assert out == ""
     assert err.startswith(f"error: {where}")
+
+
+def test_verify_all_json_matches_golden(capture):
+    """``verify --all --json`` byte for byte, as captured before any speedup."""
+    path = os.path.join(os.path.dirname(__file__), "golden", "verify_all.json")
+    with open(path, encoding="utf-8") as fh:
+        frozen = fh.read()
+    assert capture("verify", "--all", "--json") == (0, frozen, "")
 
 
 def test_missing_table_files_are_an_error(tmp_path, monkeypatch, capture):

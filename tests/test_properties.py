@@ -20,15 +20,7 @@ from lca.rootsys import root_system
 from lca.spin2 import SignVector, eigen_partition
 from lca.tabver import assemble_traces, load_tables
 
-from helpers import capped_dominant_count, enumerate_highest_weights, orbit_size
-
-ALL_TYPES = (
-    [f"A{n}" for n in range(1, 9)]
-    + [f"B{n}" for n in range(1, 9)]
-    + [f"C{n}" for n in range(1, 9)]
-    + [f"D{n}" for n in range(3, 9)]
-    + ["E6", "E7", "E8", "F4", "G2"]
-)
+from helpers import ALL_TYPES, capped_dominant_count, enumerate_highest_weights, orbit_size
 
 DIM_BOUND = 10_000
 MAX_EXHAUSTIVE = 36  # dominant-weight count below which we always verify

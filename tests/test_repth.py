@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lca.embed import (
     extended_deletion,
@@ -16,7 +18,7 @@ from lca.repth import (
     semisimplify,
     weyl_dimension,
 )
-from lca.rootsys import root_system
+from lca.rootsys import ProductRootSystem, root_system
 
 from helpers import kostant_multiplicity
 
@@ -147,6 +149,70 @@ def test_semisimplify_rejects_non_character():
     fake = Character.from_dict(rs, {(1, 0): 1})  # bare weight, not Weyl-stable
     with pytest.raises(ValueError):
         semisimplify(fake)
+
+
+SMALL_AMBIENTS = {
+    "A2": root_system("A2"),
+    "B2": root_system("B2"),
+    "G2": root_system("G2"),
+    "A1*B2": ProductRootSystem([root_system("A1"), root_system("B2")]),
+}
+
+
+def _sum_of_irreducibles(ambient, summands):
+    weights: dict = {}
+    for lam, mult in summands:
+        for w, m in dominant_character(ambient, lam).entries:
+            weights[w] = weights.get(w, 0) + mult * m
+    return Character.from_dict(ambient, weights)
+
+
+@st.composite
+def _ambient_and_summands(draw):
+    name = draw(st.sampled_from(sorted(SMALL_AMBIENTS)))
+    rank = SMALL_AMBIENTS[name].rank
+    weight = st.tuples(*[st.integers(0, 2)] * rank)
+    summands = draw(st.lists(st.tuples(weight, st.integers(1, 3)), min_size=1, max_size=4))
+    return name, summands
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ambient_and_summands())
+def test_semisimplify_recovers_any_sum_of_irreducibles(case):
+    name, summands = case
+    ambient = SMALL_AMBIENTS[name]
+    expected: dict = {}
+    for lam, mult in summands:
+        expected[lam] = expected.get(lam, 0) + mult
+    factors = semisimplify(_sum_of_irreducibles(ambient, summands))
+    assert sorted(factors) == sorted(expected.items())
+    keys = [sum(k * x for k, x in zip(ambient.two_rho_check, mu)) for mu, _ in factors]
+    assert keys == sorted(keys, reverse=True)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_AMBIENTS))
+def test_semisimplify_rejects_tampered_characters(name):
+    ambient = SMALL_AMBIENTS[name]
+    top = (1,) * ambient.rank
+    char = _sum_of_irreducibles(ambient, [(top, 1), ((0,) * ambient.rank, 2)])
+    assert semisimplify(char) == ((top, 1), ((0,) * ambient.rank, 2))
+    table = char.as_dict()
+    outer = [w for w in table if not ambient.is_dominant(w)]
+    assert outer
+    for w in outer:
+        dropped = {v: m for v, m in table.items() if v != w}
+        with pytest.raises(ValueError):
+            semisimplify(Character.from_dict(ambient, dropped))
+        raised = table | {w: table[w] + 1}
+        with pytest.raises(ValueError):
+            semisimplify(Character.from_dict(ambient, raised))
+        with pytest.raises(ValueError):
+            semisimplify(Character.from_dict(ambient, {w: 1}))
+        # one unit moved to another non-dominant weight: the dimension holds
+        other = next(v for v in outer if v != w)
+        moved = table | {w: table[w] + 1, other: table[other] - 1}
+        with pytest.raises(ValueError):
+            semisimplify(Character.from_dict(ambient, moved))
 
 
 def test_b2_cubed_chain_has_no_trivial_factor():

@@ -13,7 +13,7 @@ from lca.rootsys import (
     weyl_orbit,
 )
 
-from helpers import reflection_closure_count
+from helpers import ALL_TYPES, reflection_closure_count
 
 CLOSED_FORM_COUNTS = {
     "A1": 2,
@@ -75,6 +75,34 @@ def test_coroot_pairings_of_extended_nodes_are_ints(name):
 def test_coroot_pairing_rejects_a_non_root():
     with pytest.raises(ValueError):
         root_system("B2").pairing_with_coroot((1, 0), (2, 1))
+
+
+def test_two_rho_check_is_twice_the_height():
+    """<w, 2 rho-check> = 2 height(w) on every type of rank at most 8.
+
+    Those types include every type the chains and the torsion enumeration
+    build, since every group there has rank at most 8.
+    """
+    from fractions import Fraction
+
+    from lca.embed import _CHAINS, named_chain
+    from lca.torsion import enumerate_irreducible_elements
+
+    built = {str(f.type) for key in _CHAINS for f in named_chain(*key).source.factors}
+    for group in {g for g, _ in _CHAINS}:
+        built |= {
+            str(st)
+            for cls in enumerate_irreducible_elements(root_system(group))
+            for st, _ in cls.centralizer.factors
+        }
+    assert built <= set(ALL_TYPES)
+    for name in ALL_TYPES:
+        rs = root_system(name)
+        for j in range(rs.rank):
+            omega = tuple(1 if i == j else 0 for i in range(rs.rank))
+            height = sum(rs.weight_to_root_coords(omega), Fraction(0))
+            assert type(rs.two_rho_check[j]) is int
+            assert rs.two_rho_check[j] == 2 * height, (name, j)
 
 
 def test_inadmissible_types_rejected():
