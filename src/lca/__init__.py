@@ -17,9 +17,7 @@ from .rootsys import (
     SimpleType,
     build_root_system,
     fold,
-    highest_root_marks,
     root_system,
-    weyl_orbit,
 )
 from .spin2 import (
     SignVector,

@@ -12,17 +12,11 @@ import json
 import sys
 
 from .embed import chain_names, named_chain
-from .fixdim import ADJOINT_DIMENSION, ClassFusion, fixed_point_dimension
+from .fixdim import ADJOINT_DIMENSION, ClassFusion, fixed_point_dimension, solve_traces
 from .repth import adjoint_character, factor_dimensions, restrict, semisimplify
 from .rootsys import SimpleType, build_root_system
 from .spin2 import SignVector, classical_centralizer, identify_2group, so_centralizer_type
-from .tabver import (
-    SUBGROUP_TABLES,
-    TABLE_ALIASES,
-    assemble_traces,
-    load_tables,
-    run_full_audit,
-)
+from .tabver import SUBGROUP_TABLES, TABLE_ALIASES, load_tables, run_full_audit
 from .torsion import adjoint_trace, class_by_name, enumerate_irreducible_elements
 
 SCHEMA_VERSION = 1
@@ -124,7 +118,7 @@ def _cmd_branch(args) -> int:
 
 def _cmd_fixdim(args) -> int:
     fusion = ClassFusion.parse(args.fusion)
-    traces, _ = assemble_traces(load_tables())
+    traces = solve_traces(args.group)
     value = fixed_point_dimension(ADJOINT_DIMENSION[args.group], fusion, traces, args.group)
     if args.json:
         return _emit_json(
@@ -170,22 +164,16 @@ def _cmd_classical_centralizer(args) -> int:
 
 
 def _cmd_solve_traces(args) -> int:
-    traces, findings = assemble_traces(load_tables())
     rows = [
         {"class": label, "trace": str(value), "provenance": prov}
-        for (g, label), (value, prov) in sorted(traces.entries.items())
-        if g == args.group
+        for (_, label), (value, prov) in sorted(solve_traces(args.group).entries.items())
     ]
     if args.json:
-        return _emit_json(
-            {"group": args.group, "traces": rows, "findings": [f.message for f in findings]}
-        )
+        return _emit_json({"group": args.group, "traces": rows})
     print("| class | trace | provenance |")
     print("|---|---|---|")
     for r in rows:
         print(f"| {r['class']} | {r['trace']} | {r['provenance']} |")
-    for f in findings:
-        print(f"finding: {f.message}")
     return 0
 
 

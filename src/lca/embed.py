@@ -76,13 +76,6 @@ def extended_deletion(rs: RootSystem, removed) -> Embedding:
     return subsystem_embedding(rs, nodes)
 
 
-def levi_embedding(rs: RootSystem, kept) -> Embedding:
-    """Subsystem on a subset of the simple roots (a Levi factor's derived part)."""
-    kept = set(kept)
-    nodes = [(k, c) for k, c in rs.extended_nodes() if k != 0 and k in kept]
-    return subsystem_embedding(rs, nodes)
-
-
 # -- classical coordinate conversions ----------------------------------------
 
 

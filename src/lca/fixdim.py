@@ -1,10 +1,12 @@
 """Character-average fixed-point dimensions from class-fusion data.
 
 For a finite subgroup F acting on the adjoint module, the dimension of its
-fixed subspace is the average of the traces over F.  Traces of inner classes
-are computed from extended-diagram labels; traces of outer classes are
-solved exactly from table rows whose expected fixed dimension is known.
-Everything is a Fraction; integrality is a check, never an assumption.
+fixed subspace is the average of the traces over F.  Every trace comes from
+Kac coordinates (``torsion``): inner classes from the extended diagram of the
+identity component, and the outer classes of AutE6 and AutD4 from the
+twisted diagrams E6^(2), D4^(2) and D4^(3).  No trace is read from a table
+row, so every row with a fusion is a test of the printed data.  Traces and
+averages are Fractions; integrality is a check, never an assumption.
 """
 
 from __future__ import annotations
@@ -15,22 +17,25 @@ from fractions import Fraction
 from .rootsys import SimpleType, build_root_system
 from .torsion import enumerate_irreducible_elements
 
-# the two automorphism-extended ambients take their inner classes, rank and
-# adjoint dimension from their identity component
-_INNER_SOURCE = {"AutE6": "E6", "AutD4": "D4"}
+# the automorphism-extended ambients: their identity component, which gives
+# the inner classes, rank and adjoint dimension, and the orders of the
+# diagram automorphisms that give the outer classes
+_IDENTITY_COMPONENT = {"AutE6": "E6", "AutD4": "D4"}
+_OUTER_TWISTS = {"AutE6": (2,), "AutD4": (2, 3)}
 
 
 def group_type(group: str) -> SimpleType:
     """Simple type of a table group; AutE6 and AutD4 give E6 and D4."""
-    return SimpleType.parse(_INNER_SOURCE.get(group, group))
+    return SimpleType.parse(_IDENTITY_COMPONENT.get(group, group))
 
 
 ADJOINT_DIMENSION = {
-    g: group_type(g).adjoint_dimension for g in ("E8", "E7", "E6", "F4", "G2", *_INNER_SOURCE)
+    g: group_type(g).adjoint_dimension
+    for g in ("E8", "E7", "E6", "F4", "G2", *_IDENTITY_COMPONENT)
 }
 
 KAC = "kac-computed"
-SOLVED = "solved-from-row"
+TWISTED_KAC = "twisted-diagram"
 
 
 @dataclass(frozen=True)
@@ -85,19 +90,8 @@ class TraceTable:
         except KeyError:
             raise KeyError(f"no trace for class {label} of {group}") from None
 
-    def has(self, group: str, label: str) -> bool:
-        return (group, label) in self.entries
-
     def provenance(self, group: str, label: str) -> str:
         return self.entries[(group, label)][1]
-
-    def without(self, group: str, label: str) -> "TraceTable":
-        out = TraceTable(dict(self.entries))
-        out.entries.pop((group, label), None)
-        return out
-
-    def copy(self) -> "TraceTable":
-        return TraceTable(dict(self.entries))
 
     def to_json(self) -> list:
         return [
@@ -105,24 +99,33 @@ class TraceTable:
             for (g, l), (v, p) in sorted(self.entries.items())
         ]
 
-    @staticmethod
-    def from_json(rows) -> "TraceTable":
-        table = TraceTable()
-        for row in rows:
-            table.set(row["group"], row["class"], Fraction(row["trace"]), row["provenance"])
-        return table
+
+def group_classes(group: str) -> tuple:
+    """A table group's classes with irreducible centralizer: inner, then outer."""
+    rs = build_root_system(group_type(group))
+    return tuple(
+        cls
+        for twist in (1, *_OUTER_TWISTS.get(group, ()))
+        for cls in enumerate_irreducible_elements(rs, twist)
+    )
 
 
-def base_trace_table() -> TraceTable:
-    """Traces of all inner classes, computed from extended-diagram labels."""
+def solve_traces(group: str) -> TraceTable:
+    """One table group's traces, every one computed from Kac coordinates.
+
+    The name is the ``solve-traces`` verb's; nothing is solved from rows.
+    """
     table = TraceTable()
-    for st in dict.fromkeys(map(group_type, ADJOINT_DIMENSION)):
-        for cls in enumerate_irreducible_elements(build_root_system(st)):
-            table.set(str(st), cls.name, cls.trace, KAC)
-    for ambient, inner in _INNER_SOURCE.items():
-        for (g, label), (value, prov) in list(table.entries.items()):
-            if g == inner:
-                table.set(ambient, label, value, prov)
+    for cls in group_classes(group):
+        table.set(group, cls.name, cls.trace, KAC if cls.kac.twist == 1 else TWISTED_KAC)
+    return table
+
+
+def base_trace_table(groups=tuple(ADJOINT_DIMENSION)) -> TraceTable:
+    """The traces of the given table groups (default: all seven) in one table."""
+    table = TraceTable()
+    for group in groups:
+        table.entries.update(solve_traces(group).entries)
     return table
 
 
@@ -132,67 +135,3 @@ def fixed_point_dimension(adjoint_dim: int, fusion: ClassFusion, traces: TraceTa
     for label, count in fusion.entries:
         total += count * traces.get(group, label)
     return total / fusion.group_order
-
-
-@dataclass(frozen=True)
-class SolveRow:
-    key: str
-    fusion: ClassFusion
-    expected_dim: int
-    flagged: bool = False
-
-
-@dataclass(frozen=True)
-class SolveFinding:
-    row: str
-    message: str
-
-
-def solve_traces(group: str, rows, known: TraceTable):
-    """Exact solve for unknown class traces from rows with known fixed dimension.
-
-    Each unflagged row gives one linear identity; rows with a single unknown
-    class determine it.  Iterates to a fixpoint, so the result is independent
-    of row order.  Rows that end up inconsistent or undetermined are returned
-    as findings, never patched.
-    """
-    table = known.copy()
-    adjoint = ADJOINT_DIMENSION[group]
-    findings: list = []
-    reported: set = set()
-    progress = True
-    while progress:
-        progress = False
-        for row in rows:
-            if row.flagged:
-                continue
-            unknown: dict = {}
-            acc = Fraction(adjoint)
-            for label, count in row.fusion.entries:
-                if table.has(group, label):
-                    acc += count * table.get(group, label)
-                else:
-                    unknown[label] = unknown.get(label, 0) + count
-            target = Fraction(row.expected_dim * row.fusion.group_order)
-            if not unknown:
-                if acc != target and row.key not in reported:
-                    reported.add(row.key)
-                    findings.append(
-                        SolveFinding(
-                            row.key,
-                            f"inconsistent row: average gives {acc / row.fusion.group_order},"
-                            f" expected {row.expected_dim}",
-                        )
-                    )
-                continue
-            if len(unknown) == 1:
-                (label, count), = unknown.items()
-                value = (target - acc) / count
-                table.set(group, label, value, SOLVED)
-                progress = True
-    unsolved = sorted(
-        {l for row in rows for l in row.fusion.labels() if not table.has(group, l)}
-    )
-    for label in unsolved:
-        findings.append(SolveFinding("-", f"trace of class {label} is undetermined"))
-    return table, tuple(findings)

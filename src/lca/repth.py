@@ -11,6 +11,7 @@ Semisimplification reads only the dominant weights of a character.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .linalg import dot, matmul
 
@@ -35,14 +36,6 @@ class Character:
     @property
     def dimension(self) -> int:
         return sum(m for _, m in self.entries)
-
-    def is_weyl_stable(self) -> bool:
-        table = self.as_dict()
-        for w, m in self.entries:
-            for v in self.ambient.weyl_orbit(w):
-                if table.get(v, 0) != m:
-                    return False
-        return True
 
     def to_json(self) -> dict:
         return {
@@ -220,9 +213,7 @@ class Embedding:
     matrix: tuple
 
     def map_weight(self, w) -> tuple:
-        return tuple(
-            sum(row[j] * w[j] for j in range(len(w))) for row in self.matrix
-        )
+        return tuple(sum(map(mul, row, w)) for row in self.matrix)
 
     def then(self, inner: "Embedding") -> "Embedding":
         """Compose with a further embedding into this one's source."""

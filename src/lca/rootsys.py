@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .linalg import Matrix, dot, invert, matvec, transpose
 
@@ -138,6 +139,7 @@ class RootSystem:
         self.type = st
         self.rank = st.rank
         self.cartan = cartan_matrix(st)
+        self._cartan_columns = transpose(self.cartan)
         self.d = symmetrizer(self.cartan)
         # gram[i][j] = (alpha_i, alpha_j), up to one global scale per system
         self.gram = tuple(
@@ -168,8 +170,7 @@ class RootSystem:
         while frontier:
             nxt = []
             for c in frontier:
-                for i in range(self.rank):
-                    pairing = sum(c[j] * self.cartan[j][i] for j in range(self.rank))
+                for i, pairing in enumerate(self.root_to_weight(c)):
                     r = list(c)
                     r[i] -= pairing
                     r = tuple(r)
@@ -187,14 +188,17 @@ class RootSystem:
         if any(m < 0 for m in fund):
             raise AssertionError("highest root is not dominant")
 
+    @cached_property
+    def highest_short_root(self) -> tuple[int, ...]:
+        """The highest root among the shortest ones; the highest root if all norms agree."""
+        short = 2 * min(self.d)
+        return max((c for c in self.positive_roots if self.root_norm(c) == short), key=sum)
+
     # -- coordinate conversions ------------------------------------------
 
     def root_to_weight(self, coords) -> tuple[int, ...]:
         """Fundamental coordinates of an element of the root lattice."""
-        return tuple(
-            sum(coords[i] * self.cartan[i][j] for i in range(self.rank))
-            for j in range(self.rank)
-        )
+        return tuple(sum(map(mul, coords, column)) for column in self._cartan_columns)
 
     def weight_to_root_coords(self, weight) -> tuple[Fraction, ...]:
         return matvec(self._cartan_t_inv, weight)
@@ -307,15 +311,6 @@ def build_root_system(st: SimpleType) -> RootSystem:
 
 def root_system(text: str) -> RootSystem:
     return build_root_system(SimpleType.parse(text))
-
-
-def highest_root_marks(rs: RootSystem) -> tuple[int, ...]:
-    """Coefficients of the highest root over the simple roots."""
-    return rs.marks
-
-
-def weyl_orbit(rs: RootSystem, weight) -> frozenset:
-    return rs.weyl_orbit(weight)
 
 
 class ProductRootSystem:

@@ -25,12 +25,10 @@ from .embed import named_chain
 from .fixdim import (
     ADJOINT_DIMENSION,
     ClassFusion,
-    SolveRow,
     TraceTable,
     base_trace_table,
     fixed_point_dimension,
     group_type,
-    solve_traces,
 )
 from .repth import adjoint_character, has_trivial_factor, restrict
 from .rootsys import SemisimpleTypeLabel, SimpleType, build_root_system
@@ -353,20 +351,12 @@ def load_tables(directory: str | None = None) -> TableSet:
 # -- trace assembly ------------------------------------------------------------
 
 
-def assemble_traces(ts: TableSet):
-    """Inner traces from diagram labels plus outer traces solved from rows."""
-    table = base_trace_table()
-    all_findings = []
-    by_group: dict = {}
-    for row in ts.subgroup_rows():
-        if row.fusion is not None:
-            by_group.setdefault(row.group, []).append(
-                SolveRow(row.row_id, row.fusion, row.centralizer.dimension, row.expected_flagged)
-            )
-    for group in sorted(by_group):
-        table, findings = solve_traces(group, by_group[group], table)
-        all_findings.extend(findings)
-    return table, tuple(all_findings)
+def assemble_traces(rows) -> TraceTable:
+    """The traces of every class of each group that ``rows`` name.
+
+    Only the group names are read; every value comes from Kac coordinates.
+    """
+    return base_trace_table(sorted({row.group for row in rows}))
 
 
 # -- audit reports ---------------------------------------------------------------
@@ -633,42 +623,12 @@ def audit_irreducibility_certificates(ts: TableSet) -> AuditReport:
 def run_full_audit(ts: TableSet | None = None, tables: tuple | None = None) -> AuditReport:
     """All audits over the requested tables (default: everything)."""
     ts = ts or load_tables()
-    traces, solve_findings = assemble_traces(ts)
     wanted = set(tables) if tables else set(SUBGROUP_TABLES + ("maximal",))
     entries = []
     rows = [r for r in ts.subgroup_rows() if r.table in wanted]
-    entries.extend(audit_dimension_identity(rows, traces).entries)
+    entries.extend(audit_dimension_identity(rows, assemble_traces(rows)).entries)
     structural = audit_structure(ts)
     entries.extend(e for e in structural.entries if e.table in wanted)
     if "maximal" in wanted:
         entries.extend(audit_irreducibility_certificates(ts).entries)
-    for finding in solve_findings:
-        entries.append(AuditEntry("traces", finding.row, finding.row, "trace-solve", "info", finding.message))
     return AuditReport(_sorted_entries(entries))
-
-
-def strip_flags(ts: TableSet) -> TableSet:
-    """The same table set with every expected-discrepancy flag removed."""
-    out = TableSet()
-    out.rows = {
-        table: tuple(
-            TableRow(
-                r.table,
-                r.index,
-                r.group,
-                r.f_name,
-                r.f_order,
-                r.centralizer,
-                r.fusion,
-                r.constraint,
-                r.overgroup,
-                (),
-            )
-            for r in rows
-        )
-        for table, rows in ts.rows.items()
-    }
-    out.classes = ts.classes
-    out.normalizers = ts.normalizers
-    out.foldings = ts.foldings
-    return out

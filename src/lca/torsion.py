@@ -1,9 +1,20 @@
-"""Finite-order semisimple elements via labels on the extended Dynkin diagram.
+"""Finite-order automorphisms via labels on affine Dynkin diagrams.
 
-A label vector (s0, s1, ..., sl) with gcd 1 encodes an inner element of
-order m = s0 + sum(a_i * s_i), where a_i are the highest-root coefficients.
-Roots are graded by sum(s_i * n_i(alpha)) mod m; the label-zero nodes of the
-extended diagram span the centralizer subsystem.
+Kac's classification (*Infinite-dimensional Lie algebras*, Thm. 8.6): a
+label vector (s0, s1, ..., sl) with gcd 1 on an affine diagram encodes one
+automorphism class of g.  The label-zero nodes span the centralizer.
+
+* Inner classes use the extended diagram of g, whose affine node is -theta.
+  The order is m = s0 + sum(a_i * s_i), where a_i are the highest-root
+  coefficients.  A root alpha = sum(n_i * alpha_i) has eigenvalue
+  zeta_m^(sum(s_i * n_i)).
+* Outer classes twist by a diagram automorphism of order k: E6 with k = 2,
+  and D4 with k = 2 or 3.  It splits g = g_0 + ... + g_{k-1}, where g_0 is
+  F4, B3 or G2, and every other g_j is V(theta_s) for g_0's highest short
+  root theta_s.  The labels sit on the twisted affine diagram E6^(2), D4^(2)
+  or D4^(3): g_0's simple roots plus the affine node -theta_s, with a_i the
+  coefficients of theta_s.  The order is m = k * (s0 + sum(a_i * s_i)), and
+  a weight mu of g_j has eigenvalue zeta_m^(j * m / k + sum(s_i * n_i(mu))).
 """
 
 from __future__ import annotations
@@ -13,42 +24,95 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .embed import subsystem_embedding
+from .linalg import dot
+from .repth import Character, has_trivial_factor, restrict
 from .rootsys import (
     RootSystem,
     SemisimpleTypeLabel,
     classify_subdiagram,
+    fold,
     root_system,
 )
 
 
+@lru_cache(maxsize=None)
+def fixed_subsystem(rs: RootSystem, twist: int) -> RootSystem:
+    """g_0: g itself, or the fixed points of its diagram automorphism of order ``twist``."""
+    return rs if twist == 1 else root_system(str(fold(rs, twist)))
+
+
 @dataclass(frozen=True)
 class KacCoordinates:
-    """Nonnegative labels on the extended diagram; index 0 is the affine node."""
+    """Nonnegative labels on the (twisted) affine diagram; index 0 is the affine node.
+
+    ``rs`` is g.  With ``twist`` k > 1, indices 1..l are the simple roots of
+    g_0 = ``fixed_subsystem(rs, k)``.
+    """
 
     rs: RootSystem
     labels: tuple
+    twist: int = 1
 
     def __post_init__(self):
-        if len(self.labels) != self.rs.rank + 1:
-            raise ValueError("need one label per extended-diagram node")
+        if len(self.labels) != self.fixed.rank + 1:
+            raise ValueError("need one label per affine-diagram node")
         if any(s < 0 for s in self.labels):
             raise ValueError("labels must be nonnegative")
         if gcd(*self.labels) != 1:
             raise ValueError("labels must have gcd 1")
 
     @property
+    def fixed(self) -> RootSystem:
+        return fixed_subsystem(self.rs, self.twist)
+
+    @property
+    def top(self) -> tuple:
+        """theta, or theta_s when twisted: minus the affine node, and the marks."""
+        return self.rs.highest_root if self.twist == 1 else self.fixed.highest_short_root
+
+    @property
     def order(self) -> int:
-        marks = (1,) + self.rs.marks
-        return sum(a * s for a, s in zip(marks, self.labels))
+        return self.twist * sum(a * s for a, s in zip((1,) + self.top, self.labels))
+
+    @property
+    def diagram(self) -> str:
+        """The affine diagram's name: E6, or E6^(2) when twisted."""
+        name = self.rs.label()
+        return name if self.twist == 1 else f"{name}^({self.twist})"
+
+    def zero_nodes(self) -> list:
+        """(key, root) pairs of the label-zero nodes: a base of the centralizer."""
+        nodes = [(0, tuple(-x for x in self.top)), *self.fixed.extended_nodes()[1:]]
+        return [node for node, s in zip(nodes, self.labels) if s == 0]
 
     def __str__(self) -> str:
-        return f"{self.rs.label()}[{','.join(map(str, self.labels))}]"
+        return f"{self.diagram}[{','.join(map(str, self.labels))}]"
 
 
-def single_node(rs: RootSystem, node: int) -> KacCoordinates:
-    """Label 1 on one extended-diagram node, zero elsewhere."""
-    labels = tuple(1 if i == node else 0 for i in range(rs.rank + 1))
-    return KacCoordinates(rs, labels)
+def single_node(rs: RootSystem, node: int, twist: int = 1) -> KacCoordinates:
+    """Label 1 on one affine-diagram node, zero elsewhere."""
+    labels = tuple(1 if i == node else 0 for i in range(fixed_subsystem(rs, twist).rank + 1))
+    return KacCoordinates(rs, labels, twist)
+
+
+@lru_cache(maxsize=None)
+def graded_weights(rs: RootSystem, twist: int = 1) -> tuple:
+    """The weights of g over g_0 as (j, root coordinates), one pair per weight.
+
+    g_0 gives its roots and rank zeros.  Each g_j with j >= 1 is V(theta_s):
+    its weights are the short roots of g_0 and one zero per short simple root.
+    """
+    g0 = fixed_subsystem(rs, twist)
+    zero = (0,) * g0.rank
+    weights = [(0, zero)] * g0.rank + [(0, a) for a in g0.all_roots]
+    if twist > 1:
+        half = min(g0.d)  # half the norm of a short root
+        little = [zero] * g0.d.count(half) + [
+            a for a in g0.all_roots if g0.root_norm(a) == 2 * half
+        ]
+        weights += [(j, w) for j in range(1, twist) for w in little]
+    return tuple(weights)
 
 
 @dataclass(frozen=True)
@@ -64,29 +128,38 @@ class EigenvalueProfile:
 
 
 def eigenvalue_profile(kac: KacCoordinates) -> EigenvalueProfile:
-    rs = kac.rs
-    m = kac.order
-    counts = [0] * m
-    counts[0] = rs.rank
+    m, k = kac.order, kac.twist
     s = kac.labels[1:]
-    for alpha in rs.all_roots:
-        deg = sum(si * ni for si, ni in zip(s, alpha)) % m
-        counts[deg] += 1
+    counts = [0] * m
+    for j, mu in graded_weights(kac.rs, k):
+        counts[(j * m // k + dot(s, mu)) % m] += 1
     profile = EigenvalueProfile(m, tuple(counts))
-    if profile.dimension != rs.type.adjoint_dimension:
+    if profile.dimension != kac.rs.type.adjoint_dimension:
         raise AssertionError("eigenvalue profile does not fill the adjoint module")
     return profile
 
 
 def torsion_centralizer(kac: KacCoordinates):
     """Centralizer subsystem type and the rank of its central torus."""
-    nodes = [
-        (k, c) for (k, c), s in zip(kac.rs.extended_nodes(), kac.labels) if s == 0
-    ]
-    comps = classify_subdiagram(kac.rs, nodes) if nodes else []
+    nodes = kac.zero_nodes()
+    comps = classify_subdiagram(kac.fixed, nodes) if nodes else []
     label = SemisimpleTypeLabel.of(*[t for t, _ in comps])
     deficit = sum(1 for s in kac.labels if s > 0) - 1
     return label, deficit
+
+
+def fixes_a_vector(kac: KacCoordinates) -> bool:
+    """Whether the centralizer has a trivial composition factor on g.
+
+    Then it centralizes a torus of G and lies in a proper Levi subgroup.
+    """
+    g0 = kac.fixed
+    weights: dict = {}
+    for _, mu in graded_weights(kac.rs, kac.twist):
+        w = g0.root_to_weight(mu)
+        weights[w] = weights.get(w, 0) + 1
+    char = Character.from_dict(g0, weights)
+    return has_trivial_factor(restrict(char, subsystem_embedding(g0, kac.zero_nodes())))
 
 
 # -- exact cyclotomic evaluation ---------------------------------------------
@@ -145,7 +218,7 @@ def adjoint_trace(kac: KacCoordinates, power: int = 1) -> Fraction:
 
 # -- enumeration of elements with semisimple irreducible centralizer ----------
 
-# class labels fixed by matching centralizer types
+# class labels fixed by matching (diagram, order, centralizer type)
 _CLASS_NAMES = {
     ("E8", 2, "A1*E7"): "2A",
     ("E8", 2, "D8"): "2B",
@@ -168,6 +241,15 @@ _CLASS_NAMES = {
     ("G2", 2, "A1^2"): "2A",
     ("G2", 3, "A2"): "3A",
     ("D4", 2, "A1^4"): "2A",
+    ("E6^(2)", 2, "F4"): "2B",
+    ("E6^(2)", 2, "C4"): "2C",
+    ("E6^(2)", 4, "A1*A3"): "4A",
+    ("E6^(2)", 6, "A2^2"): "6A",
+    ("D4^(2)", 2, "B3"): "2B",
+    ("D4^(2)", 2, "B1*B2"): "2C",
+    ("D4^(3)", 3, "G2"): "3A",
+    ("D4^(3)", 3, "A2"): "3B",
+    ("D4^(3)", 6, "A1^2"): "6A",
 }
 
 
@@ -184,7 +266,7 @@ class TorsionClass:
 
     def to_json(self) -> dict:
         return {
-            "group": self.kac.rs.label(),
+            "group": self.kac.diagram,
             "class": self.name,
             "order": self.order,
             "labels": list(self.kac.labels),
@@ -194,27 +276,28 @@ class TorsionClass:
         }
 
 
-def enumerate_irreducible_elements(rs: RootSystem) -> tuple:
-    """All torsion classes with semisimple irreducible centralizer.
+def enumerate_irreducible_elements(rs: RootSystem, twist: int = 1) -> tuple:
+    """All classes of order at least 2 with semisimple irreducible centralizer.
 
-    One label vector per extended-diagram node of mark at least 2, deduplicated
-    up to diagram symmetry (equal order and centralizer type).
+    Inner classes of g, or with ``twist`` k > 1 the outer classes of the
+    diagram automorphism of order k.  One label 1 per affine-diagram node,
+    deduplicated up to diagram symmetry (equal order and centralizer type).
+    A centralizer of lower rank than g is kept only if it fixes no vector of
+    g; this drops the order-4 node of E6^(2) with centralizer A1*B3.
     """
-    marks = (1,) + rs.marks
     seen = {}
-    for node in range(1, rs.rank + 1):
-        if marks[node] < 2:
+    for node in range(fixed_subsystem(rs, twist).rank + 1):
+        kac = single_node(rs, node, twist)
+        if kac.order < 2:
             continue
-        kac = single_node(rs, node)
         label, deficit = torsion_centralizer(kac)
         if deficit != 0:
             raise AssertionError("single-node labels have no central torus")
         key = (kac.order, str(label))
-        if key not in seen:
-            name = _CLASS_NAMES.get((rs.label(), kac.order, str(label)))
-            if name is None:
-                name = f"{kac.order}?"
-            seen[key] = TorsionClass(name, kac.order, kac, label)
+        if key in seen or (label.rank < rs.rank and fixes_a_vector(kac)):
+            continue
+        name = _CLASS_NAMES.get((kac.diagram, *key), f"{kac.order}?")
+        seen[key] = TorsionClass(name, kac.order, kac, label)
     return tuple(sorted(seen.values(), key=lambda t: (t.order, t.name)))
 
 

@@ -7,10 +7,13 @@ Weyl group, and root counts come from reflection closure done by hand here.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
+from lca.embed import subsystem_embedding
 from lca.rootsys import RootSystem
+from lca.tabver import TableSet
 
 # every admissible simple type of rank at most 8
 ALL_TYPES = (
@@ -206,3 +209,26 @@ def capped_dominant_count(rs, lam, cap: int) -> int:
                     nxt.append(nu)
         frontier = nxt
     return len(seen)
+
+
+def strip_flags(ts: TableSet) -> TableSet:
+    """The same table set with every expected-discrepancy flag removed."""
+    rows = {table: tuple(replace(r, flags=()) for r in rows) for table, rows in ts.rows.items()}
+    return replace(ts, rows=rows)
+
+
+def levi_embedding(rs: RootSystem, kept):
+    """Subsystem on a subset of the simple roots (a Levi factor's derived part)."""
+    kept = set(kept)
+    nodes = [(k, c) for k, c in rs.extended_nodes() if k != 0 and k in kept]
+    return subsystem_embedding(rs, nodes)
+
+
+def is_weyl_stable(char) -> bool:
+    """Every weight of the character has the multiplicity of its whole Weyl orbit."""
+    table = char.as_dict()
+    for w, m in char.entries:
+        for v in char.ambient.weyl_orbit(w):
+            if table.get(v, 0) != m:
+                return False
+    return True

@@ -90,8 +90,25 @@ def test_solve_traces(capture):
     assert status == 0
     payload = json.loads(out)
     rows = {r["class"]: (r["trace"], r["provenance"]) for r in payload["traces"]}
-    assert rows["2B"] == ("26", "solved-from-row")
+    assert rows["2B"] == ("26", "twisted-diagram")
     assert rows["3A"] == ("-3", "kac-computed")
+    assert set(payload) == {"schema_version", "group", "traces"}
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("fixdim", "--group", "AutE6", "--fusion", "2B"), "52"),
+        (("solve-traces", "AutD4"), "| 6A | -1 | twisted-diagram |"),
+    ],
+    ids=["fixdim", "solve-traces"],
+)
+def test_trace_verbs_need_no_tables(tmp_path, monkeypatch, capture, argv, want):
+    # one group's traces come from Kac coordinates alone; no table is read
+    monkeypatch.setenv("LCA_DATA_DIR", str(tmp_path))
+    status, out, err = capture(*argv)
+    assert (status, err) == (0, "")
+    assert want in out.splitlines()
 
 
 def test_verify_exit_codes(capture):

@@ -14,7 +14,7 @@ import functools
 import random
 
 from lca.embed import extended_deletion, sl_to_classical, so_sum_embedding
-from lca.fixdim import SolveRow, base_trace_table, fixed_point_dimension, solve_traces
+from lca.fixdim import fixed_point_dimension
 from lca.repth import dominant_character, restrict, weyl_dimension
 from lca.rootsys import root_system
 from lca.spin2 import SignVector, eigen_partition
@@ -190,7 +190,7 @@ def test_eigen_partition_monotone_seeded():
 @once_per_session
 def test_fixed_point_dimension_integral_on_all_rows():
     tables = load_tables()
-    traces, _ = assemble_traces(tables)
+    traces = assemble_traces(tables.subgroup_rows())
     from lca.fixdim import ADJOINT_DIMENSION
 
     non_integral = []
@@ -205,26 +205,3 @@ def test_fixed_point_dimension_integral_on_all_rows():
             assert row.expected_flagged
     # exactly one printed row fails integrality, and it is flagged
     assert non_integral == [("e8", "Sym4x2")]
-
-
-@once_per_session
-def test_solve_traces_order_independent_full_tables():
-    tables = load_tables()
-    by_group: dict = {}
-    for row in tables.subgroup_rows():
-        if row.fusion is not None:
-            by_group.setdefault(row.group, []).append(
-                SolveRow(row.row_id, row.fusion, row.centralizer.dimension, row.expected_flagged)
-            )
-    reference = None
-    for seed in range(4):
-        rng = random.Random(seed)
-        table = base_trace_table()
-        for group in sorted(by_group):
-            rows = by_group[group][:]
-            rng.shuffle(rows)
-            table, _ = solve_traces(group, rows, table)
-        snapshot = sorted((k, str(v[0]), v[1]) for k, v in table.entries.items())
-        if reference is None:
-            reference = snapshot
-        assert snapshot == reference

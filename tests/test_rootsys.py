@@ -7,10 +7,8 @@ from lca.rootsys import (
     build_root_system,
     classify_subdiagram,
     fold,
-    highest_root_marks,
     root_system,
     symmetrizer,
-    weyl_orbit,
 )
 
 from helpers import ALL_TYPES, reflection_closure_count
@@ -114,12 +112,12 @@ def test_inadmissible_types_rejected():
 
 
 def test_highest_root_marks():
-    assert highest_root_marks(root_system("A1")) == (1,)
-    assert max(highest_root_marks(root_system("E8"))) == 6
+    assert root_system("A1").marks == (1,)
+    assert max(root_system("E8").marks) == 6
     for name in ("E7", "E6", "F4", "G2"):
-        assert max(highest_root_marks(root_system(name))) <= 4
+        assert max(root_system(name).marks) <= 4
     for n in range(1, 9):
-        assert set(highest_root_marks(root_system(f"A{n}"))) == {1}
+        assert set(root_system(f"A{n}").marks) == {1}
 
 
 def test_highest_root_dominant_and_unique():
@@ -136,12 +134,12 @@ def test_highest_root_dominant_and_unique():
 def test_weyl_orbit_examples():
     e8 = root_system("E8")
     zero = (0,) * 8
-    assert weyl_orbit(e8, zero) == frozenset({zero})
-    orbit = weyl_orbit(e8, e8.root_to_weight(e8.highest_root))
+    assert e8.weyl_orbit(zero) == frozenset({zero})
+    orbit = e8.weyl_orbit(e8.root_to_weight(e8.highest_root))
     assert len(orbit) == 240
     assert orbit == frozenset(e8.root_to_weight(a) for a in e8.all_roots)
     a2 = root_system("A2")
-    assert len(weyl_orbit(a2, (1, 0))) == 3
+    assert len(a2.weyl_orbit((1, 0))) == 3
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from lca.fixdim import ClassFusion, base_trace_table
+from lca.fixdim import ADJOINT_DIMENSION, TWISTED_KAC, ClassFusion, base_trace_table, group_classes
 from lca.rootsys import SemisimpleTypeLabel
 from lca.tabver import (
     CharConstraint,
@@ -16,8 +16,9 @@ from lca.tabver import (
     group_name_order,
     load_tables,
     run_full_audit,
-    strip_flags,
 )
+
+from helpers import strip_flags
 
 EXPECTED_FLAGGED = {
     ("e8", "Sym4x2"),
@@ -115,40 +116,24 @@ def test_audit_reports_are_byte_stable(tables, report):
     assert again.to_json() == report.to_json()
 
 
-def test_every_inner_trace_rederivable_from_rows(tables):
-    base = base_trace_table()
-    inner = [
-        (group, label)
-        for (group, label) in base.entries
-        if group in ("E8", "E7", "F4", "G2")
-    ]
-    assert len(inner) == 18
-    for group, label in inner:
-        removed = base.without(group, label)
-        solved, _ = assemble_traces_with_base(tables, removed)
-        assert solved.get(group, label) == base.get(group, label), (group, label)
-
-
-def assemble_traces_with_base(tables, base):
-    from lca.fixdim import SolveRow, solve_traces
-
-    by_group = {}
-    for row in tables.subgroup_rows():
-        if row.fusion is not None:
-            by_group.setdefault(row.group, []).append(
-                SolveRow(row.row_id, row.fusion, row.centralizer.dimension, row.expected_flagged)
-            )
-    findings = []
-    table = base
-    for group in sorted(by_group):
-        table, f = solve_traces(group, by_group[group], table)
-        findings.extend(f)
-    return table, findings
+def test_every_trace_used_by_a_passing_row(tables, report):
+    # every computed trace meets the printed data in at least one unflagged
+    # row whose dimension identity holds
+    traces = base_trace_table()
+    passing = {e.row_id for e in report.entries if e.check == "dimension-identity" and e.status == "pass"}
+    used = {
+        (row.group, label)
+        for row in tables.subgroup_rows()
+        if row.row_id in passing and not row.expected_flagged
+        for label in row.fusion.labels()
+    }
+    unused = sorted(set(traces.entries) - used)
+    assert unused == [], unused
+    assert len(traces.entries) == 32
 
 
 def test_solved_outer_traces(tables):
-    traces, findings = assemble_traces(tables)
-    assert findings == ()
+    traces = assemble_traces(tables.subgroup_rows())
     assert traces.get("AutE6", "2B") == 26
     assert traces.get("AutE6", "2C") == -6
     assert traces.get("AutE6", "4A") == -2
@@ -159,10 +144,25 @@ def test_solved_outer_traces(tables):
     assert traces.get("AutD4", "3A") == 7
     assert traces.get("AutD4", "3B") == -2
     assert traces.get("AutD4", "6A") == -1
+    for label in ("2B", "2C", "3A", "3B", "6A"):
+        assert traces.provenance("AutD4", label) == TWISTED_KAC
+
+
+def test_enumerated_classes_are_the_elements_table(tables):
+    # each table group's enumerated classes, inner and outer, are exactly its
+    # rows of the elements table: same names, orders and centralizer types
+    for group in ADJOINT_DIMENSION:
+        computed = {(c.name, c.order, c.centralizer.plain()) for c in group_classes(group)}
+        printed = {
+            (e.label, e.order, e.centralizer.plain())
+            for (g, _), e in tables.classes.items()
+            if g == group
+        }
+        assert computed == printed, group
 
 
 def test_dimension_identity_spot_rows(tables):
-    traces, _ = assemble_traces(tables)
+    traces = assemble_traces(tables.subgroup_rows())
     rows = {(r.table, r.f_name, str(r.centralizer)): r for r in tables.subgroup_rows()}
     extraspecial = rows[("e8", "2^{1+4}-", "B1^5")]
     report = audit_dimension_identity([extraspecial], traces)

@@ -10,6 +10,9 @@ from lca.torsion import (
     cyclotomic_polynomial,
     eigenvalue_profile,
     enumerate_irreducible_elements,
+    fixed_subsystem,
+    fixes_a_vector,
+    graded_weights,
     root_of_unity_sum,
     single_node,
     torsion_centralizer,
@@ -38,6 +41,21 @@ PUBLISHED = {
     ("G2", "2A"): (2, "A1^2", -2),
     ("G2", "3A"): (3, "A2", 5),
 }
+
+# (ambient, twist, class) -> (order, centralizer, adjoint trace) of the outer
+# classes, from single labels on E6^(2), D4^(2) and D4^(3)
+OUTER = {
+    ("E6", 2, "2B"): (2, "F4", 26),
+    ("E6", 2, "2C"): (2, "C4", -6),
+    ("E6", 2, "4A"): (4, "A1*A3", -2),
+    ("E6", 2, "6A"): (6, "A2^2", -1),
+    ("D4", 2, "2B"): (2, "B3", 14),
+    ("D4", 2, "2C"): (2, "B1*B2", -2),
+    ("D4", 3, "3A"): (3, "G2", 7),
+    ("D4", 3, "3B"): (3, "A2", -2),
+    ("D4", 3, "6A"): (6, "A1^2", -1),
+}
+TWISTS = (("E6", 2), ("D4", 2), ("D4", 3))
 
 
 def test_enumeration_matches_published_tables():
@@ -136,3 +154,59 @@ def test_enumeration_is_deterministic_and_serializable():
     assert set(payload) == {
         "group", "class", "order", "labels", "centralizer", "eigenvalue_counts", "trace",
     }
+
+
+def test_twisted_diagrams():
+    # g_0 and the marks of the affine node -theta_s
+    expected = {("E6", 2): ("F4", (1, 2, 3, 2)), ("D4", 2): ("B3", (1, 1, 1)), ("D4", 3): ("G2", (2, 1))}
+    for (group, twist), (fixed, marks) in expected.items():
+        rs = root_system(group)
+        g0 = fixed_subsystem(rs, twist)
+        assert g0.label() == fixed and g0.highest_short_root == marks
+        # g_0, then k - 1 copies of V(theta_s): short roots and one zero per short simple root
+        weights = graded_weights(rs, twist)
+        assert len(weights) == rs.type.adjoint_dimension
+        assert sum(1 for j, _ in weights if j == 0) == g0.type.adjoint_dimension
+    for group in ("E8", "D4", "A3"):
+        rs = root_system(group)
+        assert rs.highest_short_root == rs.highest_root
+
+
+def test_outer_classes_from_twisted_diagrams():
+    seen = {}
+    for group, twist in TWISTS:
+        rs = root_system(group)
+        for cls in enumerate_irreducible_elements(rs, twist):
+            seen[(group, twist, cls.name)] = (cls.order, str(cls.centralizer), cls.trace)
+            profile = eigenvalue_profile(cls.kac)
+            m = profile.order
+            assert profile.dimension == rs.type.adjoint_dimension
+            # the eigenvalue-1 space is the centralizer's Lie algebra
+            assert profile.counts[0] == cls.centralizer.dimension, cls.kac
+            for j in range(1, m):
+                assert profile.counts[j] == profile.counts[m - j]
+    assert seen == OUTER
+
+
+def test_outer_trace_powers_follow_the_power_fusion():
+    # x^2 of AutE6 4A is inner 2A; x^2 and x^3 of AutE6 6A are 3A and 2B;
+    # x^2 and x^3 of AutD4 6A are 3A and inner 2A
+    e6 = {c.name: c.kac for c in enumerate_irreducible_elements(root_system("E6"), 2)}
+    assert adjoint_trace(e6["4A"], 2) == -2 == class_by_name("E6", "2A").trace
+    assert adjoint_trace(e6["6A"], 2) == -3 == class_by_name("E6", "3A").trace
+    assert adjoint_trace(e6["6A"], 3) == 26 == adjoint_trace(e6["2B"])
+    d4 = {c.name: c.kac for c in enumerate_irreducible_elements(root_system("D4"), 3)}
+    assert adjoint_trace(d4["6A"], 2) == 7 == adjoint_trace(d4["3A"])
+    assert adjoint_trace(d4["6A"], 3) == -4 == class_by_name("D4", "2A").trace
+
+
+def test_twisted_node_in_a_levi_subgroup_is_dropped():
+    e6 = root_system("E6")
+    kac = single_node(e6, 4, 2)  # the short end of F4, mark 2
+    label, deficit = torsion_centralizer(kac)
+    assert (kac.order, str(label), deficit) == (4, "A1*B3", 0)
+    assert fixes_a_vector(kac)
+    assert all(str(c.centralizer) != "A1*B3" for c in enumerate_irreducible_elements(e6, 2))
+    for group, twist in TWISTS:
+        for cls in enumerate_irreducible_elements(root_system(group), twist):
+            assert not fixes_a_vector(cls.kac), cls.kac
