@@ -12,12 +12,19 @@ import json
 import sys
 
 from .embed import chain_names, named_chain
-from .fixdim import ADJOINT_DIMENSION, ClassFusion, fixed_point_dimension, solve_traces
+from .fixdim import (
+    ADJOINT_DIMENSION,
+    ClassFusion,
+    fixed_point_dimension,
+    group_classes,
+    group_type,
+    solve_traces,
+)
 from .repth import adjoint_character, factor_dimensions, restrict, semisimplify
 from .rootsys import SimpleType, build_root_system
 from .spin2 import SignVector, classical_centralizer, identify_2group, so_centralizer_type
-from .tabver import SUBGROUP_TABLES, TABLE_ALIASES, load_tables, run_full_audit
-from .torsion import adjoint_trace, class_by_name, enumerate_irreducible_elements
+from .tabver import AUDITED_TABLES, TABLE_ALIASES, load_elements, load_tables, run_full_audit
+from .torsion import adjoint_trace
 
 SCHEMA_VERSION = 1
 
@@ -47,19 +54,19 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_torsion_enum(args) -> int:
-    rs = build_root_system(SimpleType.parse(args.type))
-    classes = enumerate_irreducible_elements(rs)
+    # a table group (E8, AutE6, ...) keeps its name; any other simple type is
+    # named canonically, so e8 prints as E8
+    group = args.type if args.type in ADJOINT_DIMENSION else str(group_type(args.type))
+    classes = group_classes(group)
     annotations = {
-        label: cls.annotation
-        for (group, label), cls in load_tables().classes.items()
-        if group == rs.label()
+        label: cls.annotation for (g, label), cls in load_elements().items() if g == group
     }
     if args.json:
         payload = [
             {**c.to_json(), "component_annotation": annotations.get(c.name, "")}
             for c in classes
         ]
-        return _emit_json({"group": rs.label(), "classes": payload})
+        return _emit_json({"group": group, "classes": payload})
     print("| class | order | labels | centralizer | trace |")
     print("|---|---|---|---|---|")
     for c in classes:
@@ -70,8 +77,10 @@ def _cmd_torsion_enum(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    cls = class_by_name(args.type, args.cls)
-    value = adjoint_trace(cls.kac, args.power)
+    kac = next((c.kac for c in group_classes(args.type) if c.name == args.cls), None)
+    if kac is None:
+        raise KeyError(f"no class {args.cls!r} in {args.type}")
+    value = adjoint_trace(kac, args.power)
     if args.json:
         return _emit_json(
             {"group": args.type, "class": args.cls, "power": args.power, "trace": str(value)}
@@ -181,9 +190,8 @@ def _cmd_verify(args) -> int:
     tables = None
     if args.table:
         name = TABLE_ALIASES.get(args.table, args.table)
-        if name not in SUBGROUP_TABLES + ("maximal",):
-            print(f"unknown table {args.table!r}", file=sys.stderr)
-            return 2
+        if name not in AUDITED_TABLES:
+            raise KeyError(f"unknown table {args.table!r}")
         tables = (name,)
     report = run_full_audit(load_tables(), tables)
     if args.json:
@@ -213,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("torsion-enum", _cmd_torsion_enum, help="elements with irreducible centralizer")
     p.add_argument("type")
 
-    p = add("trace", _cmd_trace, help="adjoint trace of an inner torsion class")
+    p = add("trace", _cmd_trace, help="adjoint trace of a torsion class")
     p.add_argument("type")
     p.add_argument("cls", metavar="class")
     p.add_argument("--power", type=int, default=1)

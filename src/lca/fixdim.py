@@ -46,7 +46,8 @@ class ClassFusion:
     entries: tuple
 
     @staticmethod
-    def parse(text: str, group_order: int | None = None) -> "ClassFusion":
+    def parse(text: str) -> "ClassFusion":
+        """'2B^15,3B^20,5A^24': |F| is one more than the sum of the counts."""
         entries = []
         for token in text.replace(" ", "").split(","):
             if not token:
@@ -55,10 +56,7 @@ class ClassFusion:
             if not label:
                 raise ValueError(f"empty class label in fusion token {token!r}")
             entries.append((label, int(count) if caret else 1))
-        total = 1 + sum(c for _, c in entries)
-        if group_order is None:
-            group_order = total
-        return ClassFusion(group_order, tuple(entries))
+        return ClassFusion(1 + sum(c for _, c in entries), tuple(entries))
 
     def __post_init__(self):
         if any(c <= 0 for _, c in self.entries):

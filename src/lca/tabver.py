@@ -1,9 +1,13 @@
 """Machine-readable result tables and the engine that audits every row.
 
-Tables ship with the package exactly as printed; rows known to fail a check
-carry an expected-discrepancy flag in the data file, and the engine verifies
-that they do fail (a flagged row that passes is itself reported).  The main
-checks are:
+The package ships only the tables the engine reads: the eight subgroup
+tables and the maximal-row table (``AUDITED_TABLES``), and the elements
+table, which names the classes a fusion may use.  Every file is read by
+one reader, ``_read_table``, from a declared field schema, so a malformed
+field is reported with its file, line and field name.  Tables ship exactly
+as printed; rows known to fail a check carry an expected-discrepancy flag in
+the data file, and the engine verifies that they do fail (a flagged row that
+passes is itself reported).  The checks are:
 
 * the dimension identity: the trace average over F equals the dimension of
   the printed centralizer, as an exact integer;
@@ -17,8 +21,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from functools import partial
+from collections import Counter
+from dataclasses import asdict, dataclass
 from math import factorial
 
 from .embed import named_chain
@@ -35,26 +39,12 @@ from .rootsys import SemisimpleTypeLabel, SimpleType, build_root_system
 
 DATA_ENV = "LCA_DATA_DIR"
 
-SUBGROUP_TABLES = ("e8", "e7", "e6", "aute6", "f4", "g2", "autd4", "aute6-classes")
-
-_TABLE_FILES = {
-    "e8": "table_e8.txt",
-    "e7": "table_e7.txt",
-    "e6": "table_e6.txt",
-    "aute6": "table_aute6.txt",
-    "f4": "table_f4.txt",
-    "g2": "table_g2.txt",
-    "autd4": "table_autd4.txt",
-    "aute6-classes": "table_aute6_classes.txt",
-    "maximal": "table_maximal.txt",
-    "elements": "table_elements.txt",
-    "normalizers": "table_normalizers.txt",
-    "foldings": "table_foldings.txt",
-}
+# the subgroup tables, then the maximal-row table; table id t is read from
+# table_<t with - as _>.txt
+AUDITED_TABLES = ("e8", "e7", "e6", "aute6", "f4", "g2", "autd4", "aute6-classes", "maximal")
 
 TABLE_ALIASES = {
     "1": "maximal",
-    "3": "elements",
     "4": "aute6-classes",
     "6": "e8",
     "7": "e7",
@@ -65,10 +55,7 @@ TABLE_ALIASES = {
 
 
 def data_dir() -> str:
-    override = os.environ.get(DATA_ENV)
-    if override:
-        return override
-    return os.path.join(os.path.dirname(__file__), "data")
+    return os.environ.get(DATA_ENV) or os.path.join(os.path.dirname(__file__), "data")
 
 
 # -- characteristic constraints ----------------------------------------------
@@ -203,13 +190,11 @@ class ElementClass:
 
 @dataclass
 class TableSet:
-    rows: dict = field(default_factory=dict)  # table id -> tuple of TableRow
-    classes: dict = field(default_factory=dict)  # (group, label) -> ElementClass
-    normalizers: tuple = ()
-    foldings: tuple = ()
+    rows: dict  # table id -> tuple of TableRow, in AUDITED_TABLES order
+    classes: dict  # (group, label) -> ElementClass
 
     def subgroup_rows(self):
-        return [row for t in SUBGROUP_TABLES for row in self.rows.get(t, ())]
+        return [row for t, rows in self.rows.items() if t != "maximal" for row in rows]
 
     def maximal_rows(self):
         return list(self.rows.get("maximal", ()))
@@ -219,133 +204,113 @@ def _parse_error(path, lineno, fieldname, message):
     return ValueError(f"{os.path.basename(path)} line {lineno}: field {fieldname}: {message}")
 
 
-def _parse_field(path, lineno, fieldname, parse, text):
-    """``parse(text)``, with a ValueError located at its file, line and field."""
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise _parse_error(path, lineno, fieldname, str(exc)) from None
+def _read_table(path: str, fields):
+    """(line number, parsed fields) for each data line of a ``|``-separated table.
 
-
-def _read_lines(path: str):
+    ``fields`` holds one ``(name, parse)`` pair per column, in file order; a
+    wrong field count or a ValueError from ``parse`` is located at its file,
+    line and field.
+    """
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            yield lineno, line
+            parts = line.split("|")
+            if len(parts) != len(fields):
+                raise _parse_error(
+                    path, lineno, "line", f"expected {len(fields)} fields, got {len(parts)}"
+                )
+            values = []
+            for (name, parse), text in zip(fields, parts):
+                try:
+                    values.append(parse(text))
+                except ValueError as exc:
+                    raise _parse_error(path, lineno, name, str(exc)) from None
+            yield lineno, values
 
 
-def _load_row_table(path: str, table_id: str):
+def _one_of(groups):
+    def parse(text):
+        if text not in groups:
+            raise ValueError(f"unknown group {text!r}")
+        return text
+
+    return parse
+
+
+def _optional(parse):
+    return lambda text: parse(text) if text else None
+
+
+def _group_name(text):
+    group_name_order(text)  # must denote a known finite group
+    return text
+
+
+_ROW_FIELDS = (
+    ("group", _one_of(ADJOINT_DIMENSION)),
+    ("F_name", _group_name),
+    ("F_order", int),
+    ("centralizer", SemisimpleTypeLabel.parse),
+    ("fusion", _optional(ClassFusion.parse)),
+    ("p_constraint", CharConstraint.parse),
+    ("overgroup", _optional(SemisimpleTypeLabel.parse)),
+    ("flags", lambda text: tuple(f for f in text.split(",") if f)),
+)
+
+_ELEMENT_FIELDS = (
+    ("group", _one_of((*ADJOINT_DIMENSION, "D4"))),
+    ("class", str),
+    ("order", int),
+    ("centralizer", SemisimpleTypeLabel.parse),
+    ("annotation", str),
+    ("p_constraint", CharConstraint.parse),
+)
+
+
+def _table_path(directory: str, table_id: str) -> str:
+    return os.path.join(directory, f"table_{table_id.replace('-', '_')}.txt")
+
+
+def _load_rows(directory: str, table_id: str):
+    path = _table_path(directory, table_id)
     rows = []
-    index = 0
-    for lineno, line in _read_lines(path):
-        parts = line.split("|")
-        if len(parts) != 8:
-            raise _parse_error(path, lineno, "line", f"expected 8 fields, got {len(parts)}")
-        group, f_name, f_order, cent, fusion, constraint, overgroup, flags = parts
-        at = partial(_parse_field, path, lineno)
-        index += 1
-        if group not in ADJOINT_DIMENSION:
-            raise _parse_error(path, lineno, "group", f"unknown group {group!r}")
-        order = at("F_order", int, f_order)
-        named = at("F_name", group_name_order, f_name)
+    for lineno, values in _read_table(path, _ROW_FIELDS):
+        group, f_name, order, _, fusion, _, _, _ = values
+        named = group_name_order(f_name)
         if named != order:
             raise _parse_error(
                 path, lineno, "F_order", f"{f_name} has order {named}, row says {order}"
             )
-        label = at("centralizer", SemisimpleTypeLabel.parse, cent)
-        fus = None
-        if fusion:
-            fus = at("fusion", lambda text: ClassFusion.parse(text, order), fusion)
-            if fus.count_sum != order - 1:
-                raise _parse_error(
-                    path,
-                    lineno,
-                    "fusion",
-                    f"counts sum to {fus.count_sum}, expected {order - 1}",
-                )
-        over = at("overgroup", SemisimpleTypeLabel.parse, overgroup) if overgroup else None
-        rows.append(
-            TableRow(
-                table_id,
-                index,
-                group,
-                f_name,
-                order,
-                label,
-                fus,
-                at("p_constraint", CharConstraint.parse, constraint),
-                over,
-                tuple(f for f in flags.split(",") if f),
+        if fusion is not None and fusion.count_sum != order - 1:
+            raise _parse_error(
+                path, lineno, "fusion", f"counts sum to {fusion.count_sum}, expected {order - 1}"
             )
-        )
+        rows.append(TableRow(table_id, len(rows) + 1, *values))
     if not rows:
         raise ValueError(f"{os.path.basename(path)}: table is empty")
     return tuple(rows)
 
 
-def _load_elements(path: str):
+def load_elements(directory: str | None = None) -> dict:
+    """The elements table: (group, class label) -> ElementClass."""
+    path = _table_path(directory or data_dir(), "elements")
     out = {}
-    for lineno, line in _read_lines(path):
-        parts = line.split("|")
-        if len(parts) != 6:
-            raise _parse_error(path, lineno, "line", f"expected 6 fields, got {len(parts)}")
-        group, label, order, cent, annotation, constraint = parts
-        at = partial(_parse_field, path, lineno)
-        if group not in ADJOINT_DIMENSION and group != "D4":
-            raise _parse_error(path, lineno, "group", f"unknown group {group!r}")
-        order_value = at("order", int, order)
-        if not label[: len(order)] == order:
+    for lineno, (group, label, order, cent, annotation, constraint) in _read_table(
+        path, _ELEMENT_FIELDS
+    ):
+        if not label.startswith(str(order)):
             raise _parse_error(path, lineno, "class", f"label {label} does not match order {order}")
-        out[(group, label)] = ElementClass(
-            group,
-            label,
-            order_value,
-            at("centralizer", SemisimpleTypeLabel.parse, cent),
-            annotation,
-            at("p_constraint", CharConstraint.parse, constraint),
-        )
+        out[(group, label)] = ElementClass(group, label, order, cent, annotation, constraint)
     return out
 
 
-def _load_normalizers(path: str):
-    out = []
-    for lineno, line in _read_lines(path):
-        parts = line.split("|")
-        if len(parts) != 3:
-            raise _parse_error(path, lineno, "line", f"expected 3 fields, got {len(parts)}")
-        group, subgroup, quotient = parts
-        at = partial(_parse_field, path, lineno)
-        at("quotient", group_name_order, quotient)  # must denote a known finite group
-        out.append((group, at("subgroup", SemisimpleTypeLabel.parse, subgroup), quotient))
-    return tuple(out)
-
-
-def _load_foldings(path: str):
-    out = []
-    for lineno, line in _read_lines(path):
-        parts = line.split("|")
-        if len(parts) != 4:
-            raise _parse_error(path, lineno, "line", f"expected 4 fields, got {len(parts)}")
-        family, order, result, constraint = parts
-        at = partial(_parse_field, path, lineno)
-        order = at("order", int, order)
-        out.append((family, order, result, at("p_constraint", CharConstraint.parse, constraint)))
-    return tuple(out)
-
-
 def load_tables(directory: str | None = None) -> TableSet:
-    """Load the full table set from a data directory (default: packaged data)."""
+    """Load the audited tables and the elements table (default: packaged data)."""
     directory = directory or data_dir()
-    ts = TableSet()
-    for table_id in SUBGROUP_TABLES + ("maximal",):
-        path = os.path.join(directory, _TABLE_FILES[table_id])
-        ts.rows[table_id] = _load_row_table(path, table_id)
-    ts.classes = _load_elements(os.path.join(directory, _TABLE_FILES["elements"]))
-    ts.normalizers = _load_normalizers(os.path.join(directory, _TABLE_FILES["normalizers"]))
-    ts.foldings = _load_foldings(os.path.join(directory, _TABLE_FILES["foldings"]))
-    return ts
+    rows = {table_id: _load_rows(directory, table_id) for table_id in AUDITED_TABLES}
+    return TableSet(rows, load_elements(directory))
 
 
 # -- trace assembly ------------------------------------------------------------
@@ -387,9 +352,7 @@ class AuditReport:
         lines = ["| row | subject | check | status | detail |", "|---|---|---|---|---|"]
         for e in self.entries:
             lines.append(f"| {e.row_id} | {e.row} | {e.check} | {e.status} | {e.detail} |")
-        counts = {}
-        for e in self.entries:
-            counts[e.status] = counts.get(e.status, 0) + 1
+        counts = Counter(e.status for e in self.entries)
         summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
         return "\n".join(lines + ["", f"summary: {summary}", f"ok: {self.ok}"]) + "\n"
 
@@ -397,19 +360,18 @@ class AuditReport:
         payload = {
             "schema_version": 1,
             "ok": self.ok,
-            "entries": [
-                {
-                    "table": e.table,
-                    "row_id": e.row_id,
-                    "row": e.row,
-                    "check": e.check,
-                    "status": e.status,
-                    "detail": e.detail,
-                }
-                for e in self.entries
-            ],
+            "entries": [asdict(e) for e in self.entries],
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _check(row, check, status, detail=""):
+    return AuditEntry(row.table, row.row_id, row.describe(), check, status, detail)
+
+
+def _verdict(row, check, ok, failure):
+    """A pass, or a fail that says ``failure``."""
+    return _check(row, check, "pass") if ok else _check(row, check, "fail", failure)
 
 
 def _sorted_entries(entries):
@@ -431,9 +393,7 @@ def audit_dimension_identity(rows, traces: TraceTable) -> AuditReport:
                 ADJOINT_DIMENSION[row.group], row.fusion, traces, row.group
             )
         except KeyError as exc:
-            entries.append(
-                AuditEntry(row.table, row.row_id, row.describe(), "dimension-identity", "fail", str(exc))
-            )
+            entries.append(_check(row, "dimension-identity", "fail", str(exc)))
             continue
         prov = sorted(
             {traces.provenance(row.group, l) for l in row.fusion.labels()}
@@ -449,9 +409,7 @@ def audit_dimension_identity(rows, traces: TraceTable) -> AuditReport:
             integral = "" if value.denominator == 1 else " (not an integer)"
             status = "flagged" if row.expected_flagged else "fail"
             detail = f"average {value}{integral} != dim {expected}{prov_note}"
-        entries.append(
-            AuditEntry(row.table, row.row_id, row.describe(), "dimension-identity", status, detail)
-        )
+        entries.append(_check(row, "dimension-identity", status, detail))
     return AuditReport(_sorted_entries(entries))
 
 
@@ -464,29 +422,17 @@ def audit_structure(ts: TableSet) -> AuditReport:
     max_groups = {r.group for r in maximal}
 
     for row in ts.subgroup_rows():
-        rid, desc = row.row_id, row.describe()
-
         if row.fusion is not None:
-            if row.fusion.count_sum == row.f_order - 1:
-                entries.append(AuditEntry(row.table, rid, desc, "fusion-count", "pass", ""))
-            else:
-                entries.append(
-                    AuditEntry(
-                        row.table,
-                        rid,
-                        desc,
-                        "fusion-count",
-                        "fail",
-                        f"counts sum to {row.fusion.count_sum}, |F|-1 = {row.f_order - 1}",
-                    )
+            entries.append(
+                _verdict(
+                    row,
+                    "fusion-count",
+                    row.fusion.count_sum == row.f_order - 1,
+                    f"counts sum to {row.fusion.count_sum}, |F|-1 = {row.f_order - 1}",
                 )
+            )
             missing = [l for l in row.fusion.labels() if (row.group, l) not in ts.classes]
-            if missing:
-                entries.append(
-                    AuditEntry(row.table, rid, desc, "class-labels", "fail", f"unknown {missing}")
-                )
-            else:
-                entries.append(AuditEntry(row.table, rid, desc, "class-labels", "pass", ""))
+            entries.append(_verdict(row, "class-labels", not missing, f"unknown {missing}"))
 
         if row.group in max_groups:
             dominated = any(
@@ -497,28 +443,16 @@ def audit_structure(ts: TableSet) -> AuditReport:
                 if m.group == row.group
             )
             entries.append(
-                AuditEntry(
-                    row.table,
-                    rid,
-                    desc,
-                    "maximal-domination",
-                    "pass" if dominated else "fail",
-                    "" if dominated else "no maximal row dominates this one",
-                )
+                _verdict(row, "maximal-domination", dominated, "no maximal row dominates this one")
             )
 
         if row.overgroup is not None:
-            ok = row.overgroup.dimension >= row.centralizer.dimension
             entries.append(
-                AuditEntry(
-                    row.table,
-                    rid,
-                    desc,
+                _verdict(
+                    row,
                     "overgroup-dimension",
-                    "pass" if ok else "fail",
-                    ""
-                    if ok
-                    else f"overgroup dim {row.overgroup.dimension} < centralizer dim"
+                    row.overgroup.dimension >= row.centralizer.dimension,
+                    f"overgroup dim {row.overgroup.dimension} < centralizer dim"
                     f" {row.centralizer.dimension}",
                 )
             )
@@ -577,30 +511,25 @@ def audit_irreducibility_certificates(ts: TableSet) -> AuditReport:
     """
     entries = []
     for row in ts.maximal_rows():
-        rid, desc = row.row_id, row.describe()
         key = (row.group, row.f_name, str(row.centralizer))
         note = _CERTIFICATE_NOTES.get(key, "")
         if row.centralizer.rank == group_type(row.group).rank:
             detail = "maximal rank, irreducible outright"
             if note:
                 detail += f"; {note}"
-            entries.append(AuditEntry(row.table, rid, desc, "irreducibility", "pass", detail))
+            entries.append(_check(row, "irreducibility", "pass", detail))
             continue
         chain_name = _CERTIFICATE_CHAINS.get(key)
         if chain_name is None:
-            entries.append(
-                AuditEntry(row.table, rid, desc, "irreducibility", "not-checked", "no registered chain")
-            )
+            entries.append(_check(row, "irreducibility", "not-checked", "no registered chain"))
             continue
         emb = named_chain(row.group, chain_name)
         if _normalize_rank_one(row.centralizer) != _normalize_rank_one(
             SemisimpleTypeLabel.parse(emb.source.label())
         ):
             entries.append(
-                AuditEntry(
-                    row.table,
-                    rid,
-                    desc,
+                _check(
+                    row,
                     "irreducibility",
                     "fail",
                     f"chain {chain_name} lands in {emb.source.label()}, row says {row.centralizer}",
@@ -613,7 +542,7 @@ def audit_irreducibility_certificates(ts: TableSet) -> AuditReport:
         detail = f"chain {chain_name}: restriction has {'a' if trivial else 'no'} trivial factor"
         if note:
             detail += f"; {note}"
-        entries.append(AuditEntry(row.table, rid, desc, "irreducibility", status, detail))
+        entries.append(_check(row, "irreducibility", status, detail))
     return AuditReport(_sorted_entries(entries))
 
 
@@ -623,7 +552,7 @@ def audit_irreducibility_certificates(ts: TableSet) -> AuditReport:
 def run_full_audit(ts: TableSet | None = None, tables: tuple | None = None) -> AuditReport:
     """All audits over the requested tables (default: everything)."""
     ts = ts or load_tables()
-    wanted = set(tables) if tables else set(SUBGROUP_TABLES + ("maximal",))
+    wanted = set(tables or AUDITED_TABLES)
     entries = []
     rows = [r for r in ts.subgroup_rows() if r.table in wanted]
     entries.extend(audit_dimension_identity(rows, assemble_traces(rows)).entries)

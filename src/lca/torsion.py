@@ -299,10 +299,3 @@ def enumerate_irreducible_elements(rs: RootSystem, twist: int = 1) -> tuple:
         name = _CLASS_NAMES.get((kac.diagram, *key), f"{kac.order}?")
         seen[key] = TorsionClass(name, kac.order, kac, label)
     return tuple(sorted(seen.values(), key=lambda t: (t.order, t.name)))
-
-
-def class_by_name(group: str, name: str) -> TorsionClass:
-    for cls in enumerate_irreducible_elements(root_system(group)):
-        if cls.name == name:
-            return cls
-    raise KeyError(f"no inner class {name!r} in {group}")

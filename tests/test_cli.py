@@ -1,9 +1,16 @@
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lca.cli import run
 
@@ -43,6 +50,9 @@ def test_trace(capture):
     assert status == 0 and out.strip() == "-3"
     status, out, _ = capture("trace", "E8", "9Z")
     assert status == 2
+    # outer classes of the automorphism-extended groups
+    assert capture("trace", "AutE6", "2B") == (0, "26\n", "")
+    assert capture("trace", "AutD4", "3A") == (0, "7\n", "")
 
 
 def test_fixdim(capture):
@@ -111,6 +121,14 @@ def test_trace_verbs_need_no_tables(tmp_path, monkeypatch, capture, argv, want):
     assert want in out.splitlines()
 
 
+def test_torsion_enum_reads_only_the_elements_table(tmp_path, monkeypatch, capture):
+    shutil.copy(os.path.join(DATA, "table_elements.txt"), tmp_path)
+    monkeypatch.setenv("LCA_DATA_DIR", str(tmp_path))
+    status, out, err = capture("torsion-enum", "G2", "--json")
+    assert (status, err) == (0, "")
+    assert [c["class"] for c in json.loads(out)["classes"]] == ["2A", "3A"]
+
+
 def test_verify_exit_codes(capture):
     status, out, _ = capture("verify", "--all")
     assert status == 0
@@ -154,7 +172,8 @@ def test_usage_errors(capture):
         (["branch", "E8", "nonsense"], "no chain named 'nonsense' for E8"),
         (["branch", "Q9"], "no chains registered for Q9"),
         (["fixdim", "--group", "E8", "--fusion", "2Z^3"], "no trace for class 2Z of E8"),
-        (["trace", "E8", "9Z"], "no inner class '9Z' in E8"),
+        (["trace", "E8", "9Z"], "no class '9Z' in E8"),
+        (["verify", "--table", "nonsense"], "unknown table 'nonsense'"),
         (["fixdim", "--group", "E8", "--fusion", "2A,,^2"],
          "empty class label in fusion token '^2'"),
         (["fixdim", "--group", "E8", "--fusion", "^3"], "empty class label in fusion token '^3'"),
@@ -166,6 +185,7 @@ def test_usage_errors(capture):
         "group-without-chains",
         "fixdim-unknown-class",
         "trace-unknown-class",
+        "verify-unknown-table",
         "fusion-empty-label",
         "fusion-lone-count",
         "ambient-SO-without-dimension",
@@ -233,6 +253,60 @@ def test_malformed_table_field_is_located(tmp_path, monkeypatch, capture, name, 
     assert status == 2
     assert out == ""
     assert err.startswith(f"error: {where}")
+
+
+ROW_COLUMNS = (
+    "group", "F_name", "F_order", "centralizer", "fusion", "p_constraint", "overgroup", "flags"
+)
+ELEMENT_COLUMNS = ("group", "class", "order", "centralizer", "annotation", "p_constraint")
+
+
+def _shipped_lines():
+    """(file name, line number, column names) of every shipped data line."""
+    out = []
+    for name in sorted(os.listdir(DATA)):
+        columns = ELEMENT_COLUMNS if name == "table_elements.txt" else ROW_COLUMNS
+        with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if line.strip() and not line.startswith("#"):
+                    out.append((name, lineno, columns))
+    return out
+
+
+SHIPPED_LINES = _shipped_lines()
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "group", "F_name", "F_order", "centralizer", "fusion", "p_constraint", "overgroup",
+        "order", "class",
+    ],
+)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_corrupted_field_of_any_shipped_line_is_located(field, data):
+    name, lineno, columns = data.draw(
+        st.sampled_from([line for line in SHIPPED_LINES if field in line[2]])
+    )
+    # each token fails every field's parser or cross-field check
+    bad = data.draw(st.sampled_from(("?^?", "^x", "x^")))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for fname in os.listdir(DATA):
+            with open(os.path.join(DATA, fname), encoding="utf-8") as fh:
+                lines = fh.read().split("\n")
+            if fname == name:
+                parts = lines[lineno - 1].split("|")
+                parts[columns.index(field)] = bad
+                lines[lineno - 1] = "|".join(parts)
+            with open(os.path.join(tmp, fname), "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines))
+        env = mock.patch.dict(os.environ, {"LCA_DATA_DIR": tmp})
+        with env, redirect_stdout(out), redirect_stderr(err):
+            status = run(["verify", "--all"])
+    assert (status, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith(f"error: {name} line {lineno}: field {field}:"), err.getvalue()
 
 
 def test_verify_all_json_matches_golden(capture):

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from lca.rootsys import (
@@ -10,6 +12,7 @@ from lca.rootsys import (
     root_system,
     symmetrizer,
 )
+from lca.tabver import CharConstraint, _read_table
 
 from helpers import ALL_TYPES, reflection_closure_count
 
@@ -163,12 +166,19 @@ def test_fold_rejects_missing_automorphism():
             fold(root_system(name), order)
 
 
-def test_fold_matches_folding_table():
-    from lca.tabver import load_tables
+FOLDING_FIELDS = (
+    ("family", str),
+    ("order", int),
+    ("result", str),
+    ("p_constraint", CharConstraint.parse),
+)
 
+
+def test_fold_matches_folding_table():
+    path = os.path.join(os.path.dirname(__file__), "data", "table_foldings.txt")
     # the first row listed per (family, order) is the generic one
     generic = {}
-    for family, order, result, _constraint in load_tables().foldings:
+    for _, (family, order, result, _constraint) in _read_table(path, FOLDING_FIELDS):
         generic.setdefault((family, order), result)
     for n in range(2, 9):
         assert str(fold(root_system(f"A{n}"), 2)) == generic[

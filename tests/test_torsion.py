@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from lca.fixdim import group_classes
 from lca.rootsys import root_system
 from lca.torsion import (
     KacCoordinates,
     adjoint_trace,
-    class_by_name,
     cyclotomic_polynomial,
     eigenvalue_profile,
     enumerate_irreducible_elements,
@@ -116,13 +116,13 @@ def test_order_two_trace_identity():
 
 
 def test_trace_powers():
-    cls = class_by_name("E8", "6A")
+    e8 = {c.name: c for c in group_classes("E8")}
+    cls = e8["6A"]
     assert adjoint_trace(cls.kac, 0) == 248
     assert adjoint_trace(cls.kac, 2) == 5  # squares into the 3B class
     assert adjoint_trace(cls.kac, 3) == 24  # cubes into the 2A class
     assert adjoint_trace(cls.kac, 5) == adjoint_trace(cls.kac, 1)
-    four_b = class_by_name("E8", "4B")
-    assert adjoint_trace(four_b.kac, 2) == -8  # squares into 2B
+    assert adjoint_trace(e8["4B"].kac, 2) == -8  # squares into 2B
 
 
 def test_traces_are_real_rationals():
@@ -191,13 +191,13 @@ def test_outer_classes_from_twisted_diagrams():
 def test_outer_trace_powers_follow_the_power_fusion():
     # x^2 of AutE6 4A is inner 2A; x^2 and x^3 of AutE6 6A are 3A and 2B;
     # x^2 and x^3 of AutD4 6A are 3A and inner 2A
-    e6 = {c.name: c.kac for c in enumerate_irreducible_elements(root_system("E6"), 2)}
-    assert adjoint_trace(e6["4A"], 2) == -2 == class_by_name("E6", "2A").trace
-    assert adjoint_trace(e6["6A"], 2) == -3 == class_by_name("E6", "3A").trace
+    e6 = {c.name: c.kac for c in group_classes("AutE6")}
+    assert adjoint_trace(e6["4A"], 2) == -2 == adjoint_trace(e6["2A"])
+    assert adjoint_trace(e6["6A"], 2) == -3 == adjoint_trace(e6["3A"])
     assert adjoint_trace(e6["6A"], 3) == 26 == adjoint_trace(e6["2B"])
-    d4 = {c.name: c.kac for c in enumerate_irreducible_elements(root_system("D4"), 3)}
+    d4 = {c.name: c.kac for c in group_classes("AutD4")}
     assert adjoint_trace(d4["6A"], 2) == 7 == adjoint_trace(d4["3A"])
-    assert adjoint_trace(d4["6A"], 3) == -4 == class_by_name("D4", "2A").trace
+    assert adjoint_trace(d4["6A"], 3) == -4 == adjoint_trace(d4["2A"])
 
 
 def test_twisted_node_in_a_levi_subgroup_is_dropped():
