@@ -5,29 +5,29 @@ Four primitives cover everything the audits need:
 * subsystem embeddings from (iterated) extended-diagram node deletion;
 * orthogonal block decompositions SO(n1) x ... x SO(nk) inside SO(n),
   with at most one discarded dimension;
-* classical subgroups SO_n / Sp_n of SL_n, and more generally any subgroup
+* the orthogonal subgroup SO_n of SL_n, and more generally any subgroup
   of SL_n or SO_2k defined by the weights of its natural module;
 * diagonal subgroups across equal factors of a product.
 
-All weight maps are integer matrices on fundamental coordinates.  The only
-non-integral step is the change to orthogonal coordinates, which has half
-entries for types B and D; integrality is asserted after it.
+All weight maps are integer matrices on fundamental coordinates.  The change
+to orthogonal coordinates has half entries for types B and D, so it is kept
+doubled, and each map built on it is halved once: an odd entry is refused
+with ValueError, never rounded.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
-from .linalg import int_matrix, mat, matmul
+from .linalg import halve, matmul
 from .repth import Embedding
 from .rootsys import (
     ProductRootSystem,
     RootSystem,
-    SemisimpleTypeLabel,
     SimpleType,
     build_root_system,
     classify_subdiagram,
+    orthogonal_factors,
     root_system,
 )
 
@@ -76,58 +76,43 @@ def extended_deletion(rs: RootSystem, removed) -> Embedding:
     return subsystem_embedding(rs, nodes)
 
 
-# -- classical coordinate conversions ----------------------------------------
+# -- orthogonal coordinate conversions ---------------------------------------
 
 
-def _fund_to_eps(rs: RootSystem):
-    """Matrix of the fundamental-to-orthogonal coordinate change (A/B/C/D)."""
+def _fund_to_2eps(rs: RootSystem):
+    """Twice the fundamental-to-orthogonal coordinate change (types A, B and D).
+
+    Doubling makes the half entries of the spin nodes integral; every weight
+    map built on it is halved once by ``halve``, which refuses an odd entry.
+    """
     n = rs.rank
     fam = rs.type.family
-    half = Fraction(1, 2)
     if fam == "A":
-        return mat([[1 if j >= i else 0 for j in range(n)] for i in range(n + 1)])
+        return tuple(tuple(2 if j >= i else 0 for j in range(n)) for i in range(n + 1))
     if fam == "B":
-        return mat(
-            [[1 if i <= j < n - 1 else (half if j == n - 1 else 0) for j in range(n)] for i in range(n)]
+        return tuple(
+            tuple(2 if i <= j < n - 1 else (1 if j == n - 1 else 0) for j in range(n))
+            for i in range(n)
         )
-    if fam == "C":
-        return mat([[1 if j >= i else 0 for j in range(n)] for i in range(n)])
     if fam == "D":
         rows = []
         for i in range(n):
-            row = [0] * n
-            for j in range(i, n - 2):
-                row[j] = 1
-            if i <= n - 2:
-                row[n - 2] = half
-                row[n - 1] = half
-            else:
-                row[n - 2] = -half
-                row[n - 1] = half
+            row = [2 if i <= j < n - 2 else 0 for j in range(n)]
+            row[n - 2] = 1 if i <= n - 2 else -1
+            row[n - 1] = 1
             rows.append(tuple(row))
         return tuple(rows)
     raise ValueError(f"no orthogonal coordinates for family {fam}")
 
 
 def _eps_to_fund_rows(st: SimpleType):
-    """Rows expressing fundamental coordinates in orthogonal coordinates."""
+    """Rows expressing fundamental coordinates in orthogonal coordinates (B and D)."""
     n = st.rank
-    rows = []
+    rows = [{i: 1, i + 1: -1} for i in range(n - 1)]
     if st.family == "B":
-        for i in range(n - 1):
-            rows.append({i: 1, i + 1: -1})
         rows.append({n - 1: 2})
-    elif st.family == "C":
-        for i in range(n - 1):
-            rows.append({i: 1, i + 1: -1})
-        rows.append({n - 1: 1})
-    elif st.family == "D":
-        for i in range(n - 2):
-            rows.append({i: 1, i + 1: -1})
-        rows.append({n - 2: 1, n - 1: -1})
-        rows.append({n - 2: 1, n - 1: 1})
     else:
-        raise ValueError(f"unsupported family {st.family}")
+        rows.append({n - 2: 1, n - 1: 1})
     return rows
 
 
@@ -136,21 +121,14 @@ def _dense_row(coeffs, width: int, offset: int = 0) -> tuple[int, ...]:
     return tuple(coeffs.get(j - offset, 0) for j in range(width))
 
 
-def _classical_part(dim: int):
-    """(factor types, eps-row maps) for one SO(dim) block, labelled as in the tables."""
+def _orthogonal_rows(dim: int):
+    """Orthogonal-row maps of the factors ``orthogonal_factors(dim)`` of one SO(dim) block."""
     if dim == 4:
-        return (
-            [SimpleType("A", 1), SimpleType("A", 1)],
-            [[{0: 1, 1: 1}], [{0: 1, 1: -1}]],
-        )
+        return [[{0: 1, 1: 1}], [{0: 1, 1: -1}]]
     if dim == 6:
         # SO6 presented as A3: node order (e1-e2, e2-e3, e2+e3) re-ordered to a chain
-        return (
-            [SimpleType("A", 3)],
-            [[{1: 1, 2: -1}, {0: 1, 1: -1}, {1: 1, 2: 1}]],
-        )
-    st = SimpleType("B" if dim % 2 else "D", dim // 2)
-    return [st], [_eps_to_fund_rows(st)]
+        return [[{1: 1, 2: -1}, {0: 1, 1: -1}, {1: 1, 2: 1}]]
+    return [_eps_to_fund_rows(st) for st in orthogonal_factors(dim)]
 
 
 def so_sum_embedding(rs: RootSystem, parts) -> Embedding:
@@ -166,41 +144,29 @@ def so_sum_embedding(rs: RootSystem, parts) -> Embedding:
         raise ValueError("orthogonal blocks must have dimension at least 3")
     if sum(parts) not in (natural, natural - 1):
         raise ValueError(f"block dimensions {parts} do not fit in SO{natural}")
-    fund_to_eps = _fund_to_eps(rs)
     factors = []
     rows = []
     offset = 0
     for p in parts:
-        types, maps = _classical_part(p)
-        for st, row_maps in zip(types, maps):
-            factors.append(build_root_system(st))
+        factors.extend(build_root_system(st) for st in orthogonal_factors(p))
+        for row_maps in _orthogonal_rows(p):
             rows.extend(_dense_row(coeffs, rs.rank, offset) for coeffs in row_maps)
         offset += p // 2
     source = factors[0] if len(factors) == 1 else ProductRootSystem(factors)
-    matrix = int_matrix(matmul(rows, fund_to_eps))
-    return Embedding(source, rs, matrix)
+    return Embedding(source, rs, halve(matmul(rows, _fund_to_2eps(rs))))
 
 
-def sl_to_classical(rs: RootSystem, kind: str) -> Embedding:
-    """SO_n or Sp_n inside SL_n, acting on the natural module."""
+def sl_to_orthogonal(rs: RootSystem) -> Embedding:
+    """SO_n inside SL_n, acting on the natural module."""
     if rs.type.family != "A":
         raise ValueError("expected an ambient of type A")
     n = rs.rank + 1
     k = n // 2
-    fund_to_eps = _fund_to_eps(rs)
     # z_t = y_t - y_{n+1-t}; kills the trace gauge
     fold_rows = [_dense_row({t: 1, n - 1 - t: -1}, n) for t in range(k)]
-    if kind == "sp":
-        if n % 2 == 1:
-            raise ValueError("Sp needs even n")
-        types, row_groups = [SimpleType("C", k)], [_eps_to_fund_rows(SimpleType("C", k))]
-    elif kind == "so":
-        types, row_groups = _classical_part(n)
-    else:
-        raise ValueError("kind must be 'so' or 'sp'")
-    factors = [build_root_system(t) for t in types]
-    rows = [_dense_row(coeffs, k) for group in row_groups for coeffs in group]
-    matrix = int_matrix(matmul(matmul(rows, fold_rows), fund_to_eps))
+    factors = [build_root_system(st) for st in orthogonal_factors(n)]
+    rows = [_dense_row(coeffs, k) for group in _orthogonal_rows(n) for coeffs in group]
+    matrix = halve(matmul(matmul(rows, fold_rows), _fund_to_2eps(rs)))
     source = factors[0] if len(factors) == 1 else ProductRootSystem(factors)
     return Embedding(source, rs, matrix)
 
@@ -209,7 +175,7 @@ def _weight_embedding(rs: RootSystem, source: str, weights) -> Embedding:
     """Subgroup of type ``source`` whose weight on orthogonal coordinate i is ``weights[i]``."""
     source = root_system(source)
     rows = tuple(tuple(w[j] for w in weights) for j in range(source.rank))
-    return Embedding(source, rs, int_matrix(matmul(rows, _fund_to_eps(rs))))
+    return Embedding(source, rs, halve(matmul(rows, _fund_to_2eps(rs))))
 
 
 def module_embedding(rs: RootSystem, source: str, weights) -> Embedding:
@@ -285,7 +251,7 @@ _A2_ADJOINT_WEIGHTS = [
 ]
 _A2_ORTHOGONAL_PLANES = [(1, 1), (2, -1), (-1, 2), (0, 0)]
 
-_SO3 = (sl_to_classical, "so")
+_SO3 = (sl_to_orthogonal,)
 _D4_TO_A2 = (orthogonal_module_embedding, "A2", _A2_ORTHOGONAL_PLANES)
 _SYM4_A1 = (module_embedding, "A1", _SYM4_A1_WEIGHTS)
 _ADJOINT_A2 = (module_embedding, "A2", _A2_ADJOINT_WEIGHTS)

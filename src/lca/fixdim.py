@@ -5,8 +5,9 @@ fixed subspace is the average of the traces over F.  Every trace comes from
 Kac coordinates (``torsion``): inner classes from the extended diagram of the
 identity component, and the outer classes of AutE6 and AutD4 from the
 twisted diagrams E6^(2), D4^(2) and D4^(3).  No trace is read from a table
-row, so every row with a fusion is a test of the printed data.  Traces and
-averages are Fractions; integrality is a check, never an assumption.
+row, so every row with a fusion is a test of the printed data.  Traces are
+integers; the average divides by |F| and is the one ``Fraction`` here, so
+its integrality is a check, never an assumption.
 """
 
 from __future__ import annotations
@@ -79,10 +80,10 @@ class TraceTable:
 
     entries: dict = field(default_factory=dict)
 
-    def set(self, group: str, label: str, value: Fraction, provenance: str):
-        self.entries[(group, label)] = (Fraction(value), provenance)
+    def set(self, group: str, label: str, value: int, provenance: str):
+        self.entries[(group, label)] = (value, provenance)
 
-    def get(self, group: str, label: str) -> Fraction:
+    def get(self, group: str, label: str) -> int:
         try:
             return self.entries[(group, label)][0]
         except KeyError:
@@ -90,12 +91,6 @@ class TraceTable:
 
     def provenance(self, group: str, label: str) -> str:
         return self.entries[(group, label)][1]
-
-    def to_json(self) -> list:
-        return [
-            {"group": g, "class": l, "trace": str(v), "provenance": p}
-            for (g, l), (v, p) in sorted(self.entries.items())
-        ]
 
 
 def group_classes(group: str) -> tuple:
@@ -129,7 +124,5 @@ def base_trace_table(groups=tuple(ADJOINT_DIMENSION)) -> TraceTable:
 
 def fixed_point_dimension(adjoint_dim: int, fusion: ClassFusion, traces: TraceTable, group: str) -> Fraction:
     """(1/|F|) (dim + sum of count * trace); the caller checks integrality."""
-    total = Fraction(adjoint_dim)
-    for label, count in fusion.entries:
-        total += count * traces.get(group, label)
-    return total / fusion.group_order
+    total = adjoint_dim + sum(count * traces.get(group, label) for label, count in fusion.entries)
+    return Fraction(total, fusion.group_order)

@@ -3,15 +3,17 @@
 The currency throughout is the Character: a finite multiset of weights in
 fundamental coordinates with positive integer multiplicities, stable under
 the Weyl group of its ambient (a simple root system or a product).  All
-arithmetic is exact and integral: dimensions, multiplicities and the weight
-order <w, 2 rho-check> are plain integers, and no ``Fraction`` occurs here.
-Semisimplification reads only the dominant weights of a character.
+arithmetic is exact and integral: dimensions, multiplicities, the weight
+order <w, 2 rho-check> and Freudenthal's inner products, which come from the
+symmetrizer on simple-root depths, are plain integers, and no ``Fraction``
+occurs here.  Semisimplification reads only the dominant weights of a
+character.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
+from operator import add, mul
 
 from .linalg import dot, matmul
 
@@ -37,13 +39,6 @@ class Character:
     def dimension(self) -> int:
         return sum(m for _, m in self.entries)
 
-    def to_json(self) -> dict:
-        return {
-            "ambient": self.ambient.label(),
-            "entries": [[list(w), m] for w, m in self.entries],
-            "dimension": self.dimension,
-        }
-
 
 def _rho(ambient):
     return (1,) * ambient.rank
@@ -68,49 +63,57 @@ def weyl_dimension(ambient, lam) -> int:
 
 
 def dominant_weights(ambient, lam) -> list:
-    """All dominant weights of the irreducible with highest weight lam.
+    """(mu, lam - mu) for the dominant weights mu of the irreducible V(lam).
 
-    Walks downward from lam by positive-root steps through dominant weights;
-    every dominant weight below lam in the root-lattice order is reached this
-    way (the covers of the dominance order are positive roots).
+    lam - mu is in simple-root coordinates.  Walks downward from lam by
+    positive-root steps through dominant weights, adding each step's root
+    coordinates to the depth; every dominant weight below lam in the
+    root-lattice order is reached this way (the covers of the dominance
+    order are positive roots).  Sorted by the height of the depth, so from
+    the top down.
     """
     lam = tuple(lam)
-    seen = {lam}
+    depth = {lam: (0,) * ambient.rank}
     frontier = [lam]
+    steps = tuple(zip(ambient.positive_roots_fund, ambient.positive_roots))
     while frontier:
         nxt = []
         for mu in frontier:
-            for alpha in ambient.positive_roots_fund:
+            for alpha, coords in steps:
                 nu = tuple(a - b for a, b in zip(mu, alpha))
-                if nu not in seen and ambient.is_dominant(nu):
-                    seen.add(nu)
+                if nu not in depth and ambient.is_dominant(nu):
+                    depth[nu] = tuple(map(add, depth[mu], coords))
                     nxt.append(nu)
         frontier = nxt
-    key = ambient.two_rho_check
-    return sorted(seen, key=lambda w: (-dot(key, w), w))
+    return sorted(depth.items(), key=lambda item: (sum(item[1]), item[0]))
 
 
 def _freudenthal_multiplicities(ambient, lam) -> dict:
-    """Multiplicities on the dominant weights of V(lam), by Freudenthal's recursion."""
-    rho = _rho(ambient)
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    norm_top = ambient.inner(lam_rho, lam_rho)
+    """Multiplicities on the dominant weights of V(lam), by Freudenthal's recursion.
+
+    Inner products are integers on the scale of the symmetrizer d:
+    (nu, alpha) is ``dot(nu, form)`` for alpha's positive-root form, and
+    |lam+rho|^2 - |mu+rho|^2 = (lam - mu, lam + mu + 2 rho) is
+    sum(d_i * depth_i * (lam_i + mu_i + 2)) for the depth lam - mu.
+    """
+    steps = tuple(zip(ambient.positive_roots_fund, ambient.positive_root_forms))
     mults: dict = {}
-    for mu in dominant_weights(ambient, lam):
+    for mu, depth in dominant_weights(ambient, lam):
         if mu == lam:
             mults[mu] = 1
             continue
-        mu_rho = tuple(a + b for a, b in zip(mu, rho))
-        denominator = norm_top - ambient.inner(mu_rho, mu_rho)
+        denominator = sum(
+            d * c * (a + b + 2) for d, c, a, b in zip(ambient.d, depth, lam, mu)
+        )
         total = 0
-        for alpha in ambient.positive_roots_fund:
+        for alpha, form in steps:
             k = 1
             while True:
                 nu = tuple(a + k * b for a, b in zip(mu, alpha))
                 m = mults.get(ambient.dominantize(nu))
                 if m is None:
                     break
-                total += m * ambient.inner(nu, alpha)
+                total += m * dot(nu, form)
                 k += 1
         value, remainder = divmod(2 * total, denominator)
         if remainder or value <= 0:

@@ -1,12 +1,13 @@
 """Root systems of the simple types, their lattices and diagram combinatorics.
 
 Roots are stored as integer coordinate vectors in the simple-root basis;
-weights as integer vectors in the fundamental-weight basis.  The Cartan and
-Gram matrices, norms, coroots and coroot pairings are plain integers, and so
-is the weight order ``<w, 2 rho-check>``; ``Fraction`` appears only where a
-division happens: the symmetrizer's search and the inverse Cartan matrix
-behind ``weight_to_root_coords`` and ``gram_fund``, which is built on first
-use.  Node numbering follows the standard Bourbaki labelling throughout.
+weights as integer vectors in the fundamental-weight basis.  Everything is a
+plain integer: the Cartan and Gram matrices, norms, coroots, coroot
+pairings, the weight order ``<w, 2 rho-check>`` and the inner product of a
+weight with a root, which the symmetrizer gives without inverting the
+Cartan matrix.  ``Fraction`` appears only inside ``symmetrizer``, whose
+search divides Cartan entries before scaling back to integers.  Node
+numbering follows the standard Bourbaki labelling throughout.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from .linalg import Matrix, dot, invert, matvec, transpose
+from .linalg import dot, matvec, transpose
 
 FAMILIES = "ABCDEFG"
 
@@ -70,6 +71,18 @@ class SimpleType:
     @property
     def adjoint_dimension(self) -> int:
         return _ADJOINT_DIM[self.family](self.rank)
+
+
+def orthogonal_factors(dim: int) -> tuple[SimpleType, ...]:
+    """Simple factors of SO(dim), dim >= 3, as the tables name them.
+
+    SO4 is A1*A1 and SO6 is A3; otherwise SO(2k+1) is Bk and SO(2k) is Dk.
+    """
+    if dim == 4:
+        return (SimpleType("A", 1), SimpleType("A", 1))
+    if dim == 6:
+        return (SimpleType("A", 3),)
+    return (SimpleType("B" if dim % 2 else "D", dim // 2),)
 
 
 def cartan_matrix(st: SimpleType) -> tuple[tuple[int, ...], ...]:
@@ -149,20 +162,6 @@ class RootSystem:
         self._close_roots()
         self.positive_roots_fund = tuple(self.root_to_weight(c) for c in self.positive_roots)
 
-    @cached_property
-    def _cartan_t_inv(self) -> Matrix:
-        return invert(transpose(self.cartan))
-
-    @cached_property
-    def gram_fund(self) -> Matrix:
-        """(omega_i, omega_j), times one integer that makes every entry integral.
-
-        Every use is a ratio of inner products, so the scale cancels.
-        """
-        fund = [[d * x for x in row] for d, row in zip(self.d, self._cartan_t_inv)]
-        scale = lcm(*(x.denominator for row in fund for x in row))
-        return tuple(tuple(int(x * scale) for x in row) for row in fund)
-
     def _close_roots(self):
         simple = [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
         roots = set(simple)
@@ -200,12 +199,6 @@ class RootSystem:
         """Fundamental coordinates of an element of the root lattice."""
         return tuple(sum(map(mul, coords, column)) for column in self._cartan_columns)
 
-    def weight_to_root_coords(self, weight) -> tuple[Fraction, ...]:
-        return matvec(self._cartan_t_inv, weight)
-
-    def inner(self, mu, nu) -> int:
-        return dot(mu, matvec(self.gram_fund, nu))
-
     def root_norm(self, coords) -> int:
         return dot(coords, matvec(self.gram, coords))
 
@@ -231,6 +224,15 @@ class RootSystem:
     def positive_coroots(self) -> tuple[tuple[int, ...], ...]:
         """The coroots of the positive roots, in simple-coroot coordinates."""
         return tuple(self.coroot(c, self.root_norm(c)) for c in self.positive_roots)
+
+    @cached_property
+    def positive_root_forms(self) -> tuple[tuple[int, ...], ...]:
+        """d_j * a_j over j, for each positive root alpha = sum of a_j alpha_j.
+
+        Since (omega_j, alpha) = d_j * a_j, ``dot(weight, form)`` is the inner
+        product (weight, alpha) on the scale where (alpha_j, alpha_j) = 2 d_j.
+        """
+        return tuple(tuple(map(mul, self.d, c)) for c in self.positive_roots)
 
     @cached_property
     def two_rho_check(self) -> tuple[int, ...]:
@@ -327,9 +329,6 @@ class ProductRootSystem:
         for f in self.factors:
             self._offsets.append(off)
             off += f.rank
-        self.positive_roots_fund = tuple(
-            self._pad(i, w) for i, f in enumerate(self.factors) for w in f.positive_roots_fund
-        )
 
     def _pad(self, idx: int, weight) -> tuple[int, ...]:
         off = self._offsets[idx]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .rootsys import SemisimpleTypeLabel, SimpleType
+from .rootsys import SemisimpleTypeLabel, SimpleType, orthogonal_factors
 
 _RUN = re.compile(r"(-?1)(?:\^(\d+))?$")
 
@@ -113,20 +113,6 @@ class SOCentralizer:
         return self.torus_blocks > 0
 
 
-_SO_FACTORS = {
-    4: ("A1", "A1"),
-    6: ("A3",),
-}
-
-
-def _so_label(dim: int):
-    if dim in _SO_FACTORS:
-        return _SO_FACTORS[dim]
-    if dim % 2 == 0:
-        return (f"D{dim // 2}",)
-    return (f"B{(dim - 1) // 2}",)
-
-
 def so_centralizer_type(vectors, n: int | None = None) -> SOCentralizer:
     """Connected centralizer of sign vectors in SO_n, as a type label.
 
@@ -143,7 +129,7 @@ def so_centralizer_type(vectors, n: int | None = None) -> SOCentralizer:
         elif size == 2:
             torus += 1
         else:
-            factors.extend(_so_label(size))
+            factors.extend(orthogonal_factors(size))
     return SOCentralizer(SemisimpleTypeLabel.of(*factors), torus, dropped)
 
 
@@ -300,7 +286,7 @@ def classical_centralizer(block_dims, ambient: str) -> SemisimpleTypeLabel:
         raise ValueError("SO blocks of size < 3 are tori or trivial")
     factors = []
     for b in block_dims:
-        factors.extend(_so_label(b))
+        factors.extend(orthogonal_factors(b))
     return SemisimpleTypeLabel.of(*factors)
 
 

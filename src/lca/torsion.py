@@ -15,12 +15,15 @@ automorphism class of g.  The label-zero nodes span the centralizer.
   or D4^(3): g_0's simple roots plus the affine node -theta_s, with a_i the
   coefficients of theta_s.  The order is m = k * (s0 + sum(a_i * s_i)), and
   a weight mu of g_j has eigenvalue zeta_m^(j * m / k + sum(s_i * n_i(mu))).
+
+Every adjoint trace is an integer: a rational sum of roots of unity with
+integer coefficients is one, and ``root_of_unity_sum`` reduces modulo the
+cyclotomic polynomial in integer arithmetic alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -188,10 +191,12 @@ def _poly_div(num, den):
     return out
 
 
-def root_of_unity_sum(coeffs, m: int) -> Fraction:
+def root_of_unity_sum(coeffs, m: int) -> int:
     """Exact value of sum(coeffs[j] * zeta^j) for a primitive m-th root zeta.
 
-    Raises ValueError if the value is irrational.
+    The coefficients are integers, so a rational value is an algebraic
+    integer and hence an integer.  Raises ValueError if the value is
+    irrational.
     """
     rem = list(coeffs) + [0] * max(0, m - len(coeffs))
     phi = cyclotomic_polynomial(m)
@@ -203,10 +208,10 @@ def root_of_unity_sum(coeffs, m: int) -> Fraction:
                 rem[i - deg + j] -= c * pj
     if any(rem[1:]):
         raise ValueError(f"irrational cyclotomic value, residue {rem}")
-    return Fraction(rem[0])
+    return rem[0]
 
 
-def adjoint_trace(kac: KacCoordinates, power: int = 1) -> Fraction:
+def adjoint_trace(kac: KacCoordinates, power: int = 1) -> int:
     """Exact adjoint-module trace of the power of the encoded element."""
     profile = eigenvalue_profile(kac)
     m = profile.order
@@ -261,7 +266,7 @@ class TorsionClass:
     centralizer: SemisimpleTypeLabel
 
     @property
-    def trace(self) -> Fraction:
+    def trace(self) -> int:
         return adjoint_trace(self.kac)
 
     def to_json(self) -> dict:

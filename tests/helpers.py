@@ -76,6 +76,38 @@ def weyl_elements(rs: RootSystem):
     return list(elements.items())
 
 
+@lru_cache(maxsize=None)
+def _fundamental_root_coordinates(rs: RootSystem) -> tuple:
+    """(A^T)^-1 by exact Gauss-Jordan; column i holds the root coordinates of omega_i.
+
+    Solved here over Fraction, independently of the library, which never
+    inverts the Cartan matrix.
+    """
+    n = rs.rank
+    work = [
+        [Fraction(rs.cartan[j][i]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if work[r][col])
+        work[col], work[pivot] = work[pivot], work[col]
+        pv = work[col][col]
+        work[col] = [x / pv for x in work[col]]
+        for r in range(n):
+            factor = work[r][col]
+            if r != col and factor:
+                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    return tuple(tuple(row[n:]) for row in work)
+
+
+def root_coordinates(rs: RootSystem, weight) -> tuple:
+    """Simple-root coordinates (Fractions) of a weight given in fundamental coordinates."""
+    return tuple(
+        sum((a * w for a, w in zip(row, weight)), Fraction(0))
+        for row in _fundamental_root_coordinates(rs)
+    )
+
+
 def kostant_multiplicity(rs: RootSystem, lam, mu) -> int:
     """Weight multiplicity via Kostant's formula; exponential in rank, small cases only."""
     positive = rs.positive_roots  # root coordinates
@@ -111,8 +143,8 @@ def kostant_multiplicity(rs: RootSystem, lam, mu) -> int:
     for w, sign in weyl_elements(rs):
         image = tuple(sum(w[i][j] * lam_rho[j] for j in range(rs.rank)) for i in range(rs.rank))
         diff = tuple(a - b for a, b in zip(image, mu_rho))
-        coords = rs.weight_to_root_coords(diff)
-        if any(c.denominator != 1 or c < 0 for c in map(Fraction, coords)):
+        coords = root_coordinates(rs, diff)
+        if any(c.denominator != 1 or c < 0 for c in coords):
             continue
         total += sign * partitions(tuple(int(c) for c in coords))
     return total

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from lca.fixdim import (
@@ -62,11 +60,9 @@ def test_monotonicity_on_nested_subgroups(traces):
         assert large_dim <= small_dim
 
 
-def test_trace_table_roundtrip(traces):
-    payload = traces.to_json()
-    assert all(set(row) == {"group", "class", "trace", "provenance"} for row in payload)
+def test_trace_table_roundtrip():
     table = TraceTable()
-    table.set("E8", "2A", Fraction(24), KAC)
+    table.set("E8", "2A", 24, KAC)
     assert table.get("E8", "2A") == 24 and table.provenance("E8", "2A") == KAC
     with pytest.raises(KeyError, match="2B of E8"):
         table.get("E8", "2B")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import random
 
-from lca.embed import extended_deletion, sl_to_classical, so_sum_embedding
+from lca.embed import extended_deletion, sl_to_orthogonal, so_sum_embedding
 from lca.fixdim import fixed_point_dimension
 from lca.repth import dominant_character, restrict, weyl_dimension
 from lca.rootsys import root_system
@@ -157,8 +157,7 @@ def test_restriction_preserves_dimension_randomized():
             emb = so_sum_embedding(rs, parts)
         else:
             rs = root_system(rng.choice(sl_pool))
-            kind_name = "sp" if (rs.rank % 2 and rng.random() < 0.5) else "so"
-            emb = sl_to_classical(rs, kind_name)
+            emb = sl_to_orthogonal(rs)
         lam = _random_dominant_weight(rng, rs, 300)
         char = dominant_character(rs, lam)
         restricted = restrict(char, emb)

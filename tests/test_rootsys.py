@@ -82,11 +82,12 @@ def test_two_rho_check_is_twice_the_height():
     """<w, 2 rho-check> = 2 height(w) on every type of rank at most 8.
 
     Those types include every type the chains and the torsion enumeration
-    build, since every group there has rank at most 8.
+    build, since every group there has rank at most 8.  It is checked on the
+    positive roots, whose height is the sum of their coordinates; they span
+    the weight space, so the linear form is determined by them.
     """
-    from fractions import Fraction
-
     from lca.embed import _CHAINS, named_chain
+    from lca.linalg import dot
     from lca.torsion import enumerate_irreducible_elements
 
     built = {str(f.type) for key in _CHAINS for f in named_chain(*key).source.factors}
@@ -99,11 +100,10 @@ def test_two_rho_check_is_twice_the_height():
     assert built <= set(ALL_TYPES)
     for name in ALL_TYPES:
         rs = root_system(name)
-        for j in range(rs.rank):
-            omega = tuple(1 if i == j else 0 for i in range(rs.rank))
-            height = sum(rs.weight_to_root_coords(omega), Fraction(0))
-            assert type(rs.two_rho_check[j]) is int
-            assert rs.two_rho_check[j] == 2 * height, (name, j)
+        assert all(type(x) is int for x in rs.two_rho_check)
+        for alpha in rs.positive_roots:
+            pairing = dot(rs.two_rho_check, rs.root_to_weight(alpha))
+            assert pairing == 2 * sum(alpha), (name, alpha)
 
 
 def test_inadmissible_types_rejected():
@@ -229,7 +229,7 @@ def test_classify_subdiagram_on_extended_deletions():
 def test_product_root_system():
     prod = ProductRootSystem([root_system("B2"), root_system("B2")])
     assert prod.rank == 4
-    assert len(prod.positive_roots_fund) == 8
+    assert len(prod.positive_coroots) == 8
     orbit = prod.weyl_orbit((1, 0, 1, 0))
     assert len(orbit) == 16
     assert prod.label() == "B2*B2"
@@ -246,3 +246,33 @@ def test_adjoint_dimension_consistent_with_weyl_formula():
         rs = root_system(name)
         adjoint_weight = rs.root_to_weight(rs.highest_root)
         assert len(rs.all_roots) + rs.rank == weyl_dimension(rs, adjoint_weight)
+
+
+def test_fractions_only_where_a_division_happens():
+    """Only fixdim (the trace average) and rootsys.symmetrizer use ``fractions``."""
+    import ast
+
+    import lca
+
+    package = os.path.dirname(lca.__file__)
+    users = {}
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound |= {a.asname or a.name for a in node.names if a.name == "fractions"}
+            elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+                bound |= {a.asname or a.name for a in node.names}
+        if bound:
+            users[name] = {
+                getattr(top, "name", "<module>")
+                for top in tree.body
+                if not isinstance(top, (ast.Import, ast.ImportFrom))
+                and any(isinstance(n, ast.Name) and n.id in bound for n in ast.walk(top))
+            }
+    assert set(users) == {"fixdim.py", "rootsys.py"}
+    assert users["rootsys.py"] == {"symmetrizer"}
