@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .embed import chain_names, named_chain
 from .fixdim import (
@@ -201,7 +202,17 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+def positive_int(text: str) -> int:
+    """A size on the command line; argparse names the argument in any error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI grammar, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lca",
         description="exact Lie-theoretic calculator and table auditor for finite"
@@ -235,12 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fusion", required=True)
 
     p = add("classify-2group", _cmd_classify_2group, help="spin-lift 2-group type and centralizer")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("vectors", nargs="+")
 
     p = add("classical-centralizer", _cmd_classical_centralizer, help="Sp/SO block centralizer")
     p.add_argument("--ambient", required=True)
-    p.add_argument("blocks", nargs="+", type=int)
+    p.add_argument("blocks", nargs="+", type=positive_int)
 
     p = add("solve-traces", _cmd_solve_traces, help="trace table with provenance")
     p.add_argument("group", choices=sorted(ADJOINT_DIMENSION))

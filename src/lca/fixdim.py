@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .rootsys import SimpleType, build_root_system
 from .torsion import enumerate_irreducible_elements
@@ -93,8 +94,12 @@ class TraceTable:
         return self.entries[(group, label)][1]
 
 
+@cache
 def group_classes(group: str) -> tuple:
-    """A table group's classes with irreducible centralizer: inner, then outer."""
+    """A table group's classes with irreducible centralizer: inner, then outer.
+
+    Computed once per process: the classes are frozen and read no file.
+    """
     rs = build_root_system(group_type(group))
     return tuple(
         cls

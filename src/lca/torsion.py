@@ -24,7 +24,7 @@ cyclotomic polynomial in integer arithmetic alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd
 
 from .embed import subsystem_embedding
@@ -130,6 +130,7 @@ class EigenvalueProfile:
         return sum(self.counts)
 
 
+@cache
 def eigenvalue_profile(kac: KacCoordinates) -> EigenvalueProfile:
     m, k = kac.order, kac.twist
     s = kac.labels[1:]

@@ -15,7 +15,6 @@ from lca.repth import (
     has_trivial_factor,
     restrict,
     semisimplify,
-    weyl_dimension,
 )
 from lca.rootsys import root_system
 from lca.spin2 import identify_2group, so_centralizer_type

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -12,7 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lca.cli import run
+from lca.cli import build_parser, run
+from lca.embed import _CHAINS
+from lca.fixdim import ADJOINT_DIMENSION, group_classes
+from lca.rootsys import is_admissible
+from lca.tabver import AUDITED_TABLES, TABLE_ALIASES, load_elements
+from lca.torsion import eigenvalue_profile
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 DATA = os.path.join(SRC, "lca", "data")
@@ -114,7 +120,10 @@ def test_solve_traces(capture):
     ids=["fixdim", "solve-traces"],
 )
 def test_trace_verbs_need_no_tables(tmp_path, monkeypatch, capture, argv, want):
-    # one group's traces come from Kac coordinates alone; no table is read
+    # one group's traces come from Kac coordinates alone; no table is read,
+    # and none was read by an earlier test warming the per-process values
+    group_classes.cache_clear()
+    eigenvalue_profile.cache_clear()
     monkeypatch.setenv("LCA_DATA_DIR", str(tmp_path))
     status, out, err = capture(*argv)
     assert (status, err) == (0, "")
@@ -164,6 +173,17 @@ def test_usage_errors(capture):
     assert status == 2
     status, _, _ = capture()
     assert status == 2
+    for argv, message in [
+        (("classify-2group", "--n", "-2", "(1^2)"), "argument --n: must be positive, got -2"),
+        (("classify-2group", "--n", "0", "(1^2)"), "argument --n: must be positive, got 0"),
+        (("classical-centralizer", "--ambient", "SO8", "0"),
+         "argument blocks: must be positive, got 0"),
+        (("classical-centralizer", "--ambient", "SO8", "-3", "11"),
+         "argument blocks: must be positive, got -3"),
+    ]:
+        status, out, err = capture(*argv)
+        assert (status, out) == (2, "")
+        assert err.endswith(f"error: {message}\n"), err
 
 
 @pytest.mark.parametrize(
@@ -334,3 +354,145 @@ def test_module_invocation_runs_the_cli():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("G2: rank 2, 12 roots, adjoint dimension 14\n")
+
+
+# one fusion per table group, each naming more than one class
+FUSIONS = {
+    "E8": "2A^12,2B^7,3B^8,4B^12,6A^8",
+    "E7": "2A,4A^2",
+    "E6": "2A^3,3A^2",
+    "F4": "2A,2B^2",
+    "G2": "2A^3,3A^2",
+    "AutE6": "2A,4A^2",
+    "AutD4": "2A,2B,2C",
+}
+
+
+def _clear_process_caches():
+    group_classes.cache_clear()
+    eigenvalue_profile.cache_clear()
+    build_parser.cache_clear()
+
+
+def test_answers_in_one_process_equal_fresh_answers(capture):
+    """Warm answers, twice over, equal answers computed after clearing every cache."""
+    usage_error = ["fixdim", "--group", "E9", "--fusion", "2A"]
+    lookup_error = ["trace", "E8", "9Z"]
+    argvs = [["fixdim", "--group", g, "--fusion", f] for g, f in FUSIONS.items()]
+    argvs.append(usage_error)
+    argvs += [["solve-traces", g] for g in FUSIONS]
+    argvs.append(lookup_error)
+    argvs += [
+        ["trace", g, c.name, "--power", str(power)]
+        for g in FUSIONS
+        for c in group_classes(g)
+        for power in range(c.order + 1)
+    ]
+    argvs += [["torsion-enum", g, "--json"] for g in FUSIONS]
+    fresh = []
+    for argv in argvs:
+        _clear_process_caches()
+        fresh.append(capture(*argv))
+    errors = [(argv, rc) for argv, (rc, _, _) in zip(argvs, fresh) if rc]
+    assert errors == [(usage_error, 2), (lookup_error, 2)]
+    _clear_process_caches()
+    for _ in range(2):
+        assert [capture(*argv) for argv in argvs] == fresh
+
+
+def test_cached_classes_are_shared_and_frozen():
+    classes = group_classes("E8")
+    assert group_classes("E8") is classes
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        classes[0].name = "2Z"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        classes[0].kac.labels = (1,) * 9
+
+
+# The CLI grammar: a well-formed query of any verb, or one with one token
+# replaced or appended by a malformed one.  Simple types stop at rank 8, so
+# every drawn query stays cheap.
+CLASSES = sorted(load_elements())  # (table group, class label)
+SIMPLE_TYPES = [
+    f"{family}{rank}" for family in "ABCDEFG" for rank in range(1, 9) if is_admissible(family, rank)
+]
+TABLE_GROUP = st.sampled_from(sorted(ADJOINT_DIMENSION))
+TYPE = st.sampled_from(SIMPLE_TYPES + sorted(ADJOINT_DIMENSION) + ["e8", " G2 "])
+MALFORMED = st.sampled_from(
+    ["", "x", "-", "--", "^", "(", "(1,", "-1", "0", "9Z", "2A^0", "2A^-1", "E9", "A0", "D2",
+     "Q3", "AutE7", "SO", "Sp7", "--power", "--json", "--all", "--bogus"]
+)
+
+
+def _fusion(group, counts):
+    labels = [label for g, label in CLASSES if g == group]
+    return ",".join(f"{labels[i % len(labels)]}^{c}" for i, c in counts)
+
+
+def _sign_vectors(n):
+    vector = st.lists(st.sampled_from(["-1", "1"]), min_size=n, max_size=n)
+    return st.lists(vector.map(lambda signs: f"({','.join(signs)})"), min_size=1, max_size=3)
+
+
+def _blocks(ambient, blocks):
+    # SO blocks may leave one dimension over
+    dim = sum(blocks) + (ambient == "SO+1")
+    return (f"{ambient[:2]}{dim}", *map(str, blocks))
+
+
+VALID = st.one_of(
+    st.tuples(st.just("roots"), TYPE),
+    st.tuples(st.just("torsion-enum"), TYPE),
+    st.builds(lambda key: ("trace", *key), st.sampled_from(CLASSES)),
+    st.builds(
+        lambda key, power: ("trace", *key, "--power", str(power)),
+        st.sampled_from(CLASSES), st.integers(-3, 12),
+    ),
+    st.builds(lambda key: ("branch", *key), st.sampled_from(sorted(_CHAINS))),
+    st.builds(lambda group: ("branch", group), st.sampled_from(sorted({g for g, _ in _CHAINS}))),
+    st.builds(
+        lambda group, fusion: ("fixdim", "--group", group, "--fusion", fusion),
+        TABLE_GROUP,
+        st.builds(
+            _fusion, TABLE_GROUP,
+            st.lists(st.tuples(st.integers(0, 7), st.integers(1, 30)), min_size=1, max_size=4),
+        ),
+    ),
+    st.integers(1, 8).flatmap(
+        lambda n: _sign_vectors(n).map(lambda vs: ("classify-2group", "--n", str(n), *vs))
+    ),
+    st.builds(
+        lambda blocks: ("classical-centralizer", "--ambient", *blocks),
+        st.builds(
+            _blocks, st.sampled_from(["Sp", "SO", "SO+1"]),
+            st.lists(st.integers(1, 8), min_size=1, max_size=3),
+        ),
+    ),
+    st.tuples(st.just("solve-traces"), TABLE_GROUP),
+    st.tuples(st.just("verify"), st.just("--table"), st.sampled_from([*TABLE_ALIASES, *AUDITED_TABLES])),
+    st.just(("verify", "--all")),
+)
+
+
+def _corrupt(argv, index, token):
+    argv = list(argv)
+    index %= len(argv) + 1
+    argv[index:index + 1] = [token]
+    return argv
+
+
+ARGV = st.one_of(
+    VALID.map(list),
+    VALID.map(lambda argv: [*argv, "--json"]),
+    st.builds(_corrupt, VALID, st.integers(0, 7), MALFORMED),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=ARGV)
+def test_every_argv_exits_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = run(argv)
+    assert status in (0, 1, 2)
+    assert (status == 2) == bool(err.getvalue()), err.getvalue()

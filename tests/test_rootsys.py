@@ -6,7 +6,6 @@ from lca.rootsys import (
     ProductRootSystem,
     SemisimpleTypeLabel,
     SimpleType,
-    build_root_system,
     classify_subdiagram,
     fold,
     root_system,
