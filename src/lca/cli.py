@@ -2,13 +2,15 @@
 
 Default output is markdown-ish plain text; ``--json`` switches to a stable
 JSON form (schema_version 1).  Exit status: 0 success, 1 audit failure,
-2 usage error.
+2 usage error.  ``lca`` ends like any Unix filter when its reader closes
+stdout early: SIGPIPE kills it silently, and a shell sees status 141.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from functools import cache
 
@@ -54,10 +56,14 @@ def _cmd_roots(args) -> int:
     return 0
 
 
+def _group_name(text: str) -> str:
+    """A table group (E8, AutE6, ...) keeps its name; any other simple type is
+    named canonically, so e8 and ' E8' are E8, printed and cached once."""
+    return text if text in ADJOINT_DIMENSION else str(group_type(text))
+
+
 def _cmd_torsion_enum(args) -> int:
-    # a table group (E8, AutE6, ...) keeps its name; any other simple type is
-    # named canonically, so e8 prints as E8
-    group = args.type if args.type in ADJOINT_DIMENSION else str(group_type(args.type))
+    group = _group_name(args.type)
     classes = group_classes(group)
     annotations = {
         label: cls.annotation for (g, label), cls in load_elements().items() if g == group
@@ -78,13 +84,14 @@ def _cmd_torsion_enum(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    kac = next((c.kac for c in group_classes(args.type) if c.name == args.cls), None)
+    group = _group_name(args.type)
+    kac = next((c.kac for c in group_classes(group) if c.name == args.cls), None)
     if kac is None:
-        raise KeyError(f"no class {args.cls!r} in {args.type}")
+        raise KeyError(f"no class {args.cls!r} in {group}")
     value = adjoint_trace(kac, args.power)
     if args.json:
         return _emit_json(
-            {"group": args.type, "class": args.cls, "power": args.power, "trace": str(value)}
+            {"group": group, "class": args.cls, "power": args.power, "trace": str(value)}
         )
     print(value)
     return 0
@@ -280,6 +287,7 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

@@ -7,14 +7,16 @@ pairings, the weight order ``<w, 2 rho-check>`` and the inner product of a
 weight with a root, which the symmetrizer gives without inverting the
 Cartan matrix.  ``Fraction`` appears only inside ``symmetrizer``, whose
 search divides Cartan entries before scaling back to integers.  Node
-numbering follows the standard Bourbaki labelling throughout.
+numbering follows the standard Bourbaki labelling throughout, and
+``cartan_matrix`` is its one statement: the type and node order of a
+subsystem diagram are read off by matching its pairings against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 
@@ -85,6 +87,7 @@ def orthogonal_factors(dim: int) -> tuple[SimpleType, ...]:
     return (SimpleType("B" if dim % 2 else "D", dim // 2),)
 
 
+@cache
 def cartan_matrix(st: SimpleType) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix A with A[i][j] = <alpha_i, alpha_j-coroot>."""
     n = st.rank
@@ -450,146 +453,73 @@ def _canonical(factors) -> tuple:
 
 
 def classify_subdiagram(rs: RootSystem, nodes):
-    """Split a set of mutually non-adjacent-to-nothing roots into simple components.
+    """Split a base of a subsystem into simple components, typed by ``cartan_matrix``.
 
-    ``nodes`` is a list of (key, coords) pairs of roots of ``rs`` forming a
-    base of a subsystem.  Returns a list of (SimpleType, ordered keys) with a
-    deterministic Bourbaki-compatible ordering per component, sorted by
-    (family, rank, keys).
+    ``nodes`` is a list of (key, coords) pairs of roots of ``rs``.  Returns
+    (SimpleType, ordered keys) per component, sorted by (family, rank, keys):
+    the pairings <beta_a, beta_b-coroot> in that order are ``cartan_matrix``,
+    the first such order in ascending keys, but with the fork of D_n, n >= 5,
+    in descending key order (fixing the half-spin labelling).  A single node
+    is A1, or B1 if short in a type-B ambient.  A component of no finite
+    type, such as a whole extended diagram, raises ValueError.
     """
-    keys = [k for k, _ in nodes]
+    keys = sorted(k for k, _ in nodes)
     norm = {k: rs.root_norm(c) for k, c in nodes}
     fund = {k: rs.root_to_weight(c) for k, c in nodes}
     coroot = {k: rs.coroot(c, norm[k]) for k, c in nodes}
-    pair = {(a, b): dot(fund[a], coroot[b]) for a in keys for b in keys}
-    adj = {k: sorted(j for j in keys if j != k and pair[(k, j)] != 0) for k in keys}
+    pair = {(a, b): sum(map(mul, fund[a], coroot[b])) for a in keys for b in keys}
 
-    components = []
-    seen = set()
-    for k in sorted(keys):
-        if k in seen:
+    out = []
+    left = set(keys)
+    while left:
+        comp = {min(left)}
+        while grown := {y for x in comp for y in left if pair[(x, y)]} - comp:
+            comp |= grown
+        left -= comp
+        if len(comp) > 1:
+            out.append(_match_component(sorted(comp), pair))
             continue
-        comp = []
-        stack = [k]
-        seen.add(k)
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        components.append(sorted(comp))
-
-    out = [_classify_component(rs, comp, pair, norm, adj) for comp in components]
+        (k,) = comp
+        short = norm[k] < max(norm.values())
+        out.append((SimpleType("B" if short and rs.type.family == "B" else "A", 1), (k,)))
     return sorted(out, key=lambda t: (t[0].family, t[0].rank, t[1]))
 
 
-def _classify_component(rs, comp, pair, norm, adj):
+def _match_component(comp, pair):
     n = len(comp)
-    if n == 1:
-        k = comp[0]
-        short = norm[k] < max(norm[j] for j in norm)
-        fam = "B" if (short and rs.type.family == "B") else "A"
-        return SimpleType(fam, 1), (k,)
-
-    deg = {k: len([j for j in adj[k] if j in comp]) for k in comp}
-    edge_mark = {}
-    for a in comp:
-        for b in comp:
-            if a < b and pair[(a, b)] != 0:
-                edge_mark[(a, b)] = pair[(a, b)] * pair[(b, a)]
-    max_mark = max(edge_mark.values())
-
-    if max_mark == 3:
-        a, b = comp
-        short, long_ = (a, b) if norm[a] < norm[b] else (b, a)
-        return SimpleType("G", 2), (short, long_)
-
-    if max_mark == 2:
-        return _classify_double(comp, norm, adj, deg)
-
-    ends = sorted(k for k in comp if deg[k] == 1)
-    branch = [k for k in comp if deg[k] == 3]
-    if not branch:
-        path = _walk_path(ends[0], adj, comp)
-        return SimpleType("A", n), tuple(path)
-    return _classify_forked(comp, adj, deg, branch[0], n)
+    sums = {a: sum(pair[(a, b)] for b in comp) for a in comp}
+    for family in FAMILIES:
+        if not is_admissible(family, n):
+            continue
+        st = SimpleType(family, n)
+        cartan = cartan_matrix(st)
+        # row sums ignore node order: a type with other sums is skipped, and
+        # Bourbaki node i may only take a key whose row sum is Cartan row i's
+        targets = [sum(row) for row in cartan]
+        if sorted(targets) != sorted(sums.values()):
+            continue
+        order = _place(pair, cartan, [[k for k in comp if sums[k] == t] for t in targets], [])
+        if order is not None:
+            if family == "D" and n >= 5:
+                order[-2:] = sorted(order[-2:], reverse=True)
+            return st, tuple(order)
+    raise ValueError(f"unrecognized diagram on nodes {comp}")
 
 
-def _classify_double(comp, norm, adj, deg):
-    n = len(comp)
-    ends = sorted(k for k in comp if deg[k] == 1)
-    if any(deg[k] > 2 for k in comp):
-        raise ValueError("unrecognized diagram: branch with a double bond")
-    if n == 2:
-        a, b = comp
-        long_, short = (a, b) if norm[a] > norm[b] else (b, a)
-        return SimpleType("B", 2), (long_, short)
-    path = _walk_path(ends[0], adj, comp)
-    longs = [k for k in comp if norm[k] == max(norm[j] for j in comp)]
-    shorts = [k for k in comp if k not in longs]
-    if len(shorts) == 2 and len(longs) == 2 and n == 4:
-        if norm[path[0]] < norm[path[-1]]:
-            path.reverse()
-        return SimpleType("F", 4), tuple(path)
-    if len(shorts) == 1:
-        if path[0] == shorts[0]:
-            path.reverse()
-        return SimpleType("B", n), tuple(path)
-    if len(longs) == 1:
-        if path[0] == longs[0]:
-            path.reverse()
-        return SimpleType("C", n), tuple(path)
-    raise ValueError("unrecognized diagram with a double bond")
-
-
-def _classify_forked(comp, adj, deg, center, n):
-    legs = []
-    for first in sorted(j for j in adj[center] if j in comp):
-        leg = [first]
-        prev = center
-        while True:
-            nxt = [j for j in adj[leg[-1]] if j in comp and j != prev]
-            if not nxt:
-                break
-            prev = leg[-1]
-            leg.append(nxt[0])
-        legs.append(leg)
-    legs.sort(key=lambda leg: (len(leg), leg))
-    sizes = tuple(len(leg) for leg in legs)
-
-    if sizes == (1, 1, 1):
-        a, b, c = (leg[0] for leg in legs)
-        return SimpleType("D", 4), (a, center, b, c)
-    if sizes[:2] == (1, 1):
-        # fork nodes in descending key order; fixes the half-spin labelling
-        tail = list(reversed(legs[2])) + [center]
-        return SimpleType("D", n), tuple(tail + [legs[1][0], legs[0][0]])
-    if sizes == (1, 2, 2):
-        l1, l2 = legs[1], legs[2]
-        return SimpleType("E", 6), (l1[1], legs[0][0], l1[0], center, l2[0], l2[1])
-    if sizes == (1, 2, 3):
-        l2, l3 = legs[1], legs[2]
-        return SimpleType("E", 7), (l2[1], legs[0][0], l2[0], center, l3[0], l3[1], l3[2])
-    if sizes == (1, 2, 4):
-        l2, l4 = legs[1], legs[2]
-        return (
-            SimpleType("E", 8),
-            (l2[1], legs[0][0], l2[0], center, l4[0], l4[1], l4[2], l4[3]),
-        )
-    raise ValueError(f"unrecognized forked diagram with legs {sizes}")
-
-
-def _walk_path(start, adj, comp):
-    path = [start]
-    prev = None
-    while True:
-        nxt = [j for j in adj[path[-1]] if j in comp and j != prev]
-        if not nxt:
-            return path
-        prev = path[-1]
-        path.append(nxt[0])
+def _place(pair, cartan, slots, order):
+    """Extend ``order`` by a key from each slot so the pairings are ``cartan``, or None."""
+    i = len(order)
+    if i == len(slots):
+        return order
+    for k in slots[i]:
+        if k not in order and all(
+            pair[(k, b)] == cartan[i][j] and pair[(b, k)] == cartan[j][i]
+            for j, b in enumerate(order)
+        ):
+            found = _place(pair, cartan, slots, order + [k])
+            if found is not None:
+                return found
+    return None
 
 
 # -- diagram folding --------------------------------------------------------

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -59,6 +60,14 @@ def test_trace(capture):
     # outer classes of the automorphism-extended groups
     assert capture("trace", "AutE6", "2B") == (0, "26\n", "")
     assert capture("trace", "AutD4", "3A") == (0, "7\n", "")
+
+
+def test_trace_names_its_group_canonically(capture):
+    group_classes.cache_clear()
+    for spelling in ("e8", " E8", "E8"):
+        status, out, _ = capture("trace", spelling, "2A", "--json")
+        assert status == 0 and json.loads(out)["group"] == "E8"
+    assert group_classes.cache_info().currsize == 1
 
 
 def test_fixdim(capture):
@@ -345,15 +354,30 @@ def test_missing_table_files_are_an_error(tmp_path, monkeypatch, capture):
     assert err.startswith("error: ") and "No such file" in err
 
 
-def test_module_invocation_runs_the_cli():
+def _cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_invocation_runs_the_cli():
     result = subprocess.run(
         [sys.executable, "-m", "lca.cli", "roots", "G2"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_cli_env(), timeout=60,
     )
     assert result.returncode == 0
     assert result.stdout.startswith("G2: rank 2, 12 roots, adjoint dimension 14\n")
+
+
+def test_closed_stdout_ends_the_cli_by_sigpipe():
+    # a reader that stops early, like `lca ... | head -0`, is not a usage error
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lca.cli", "trace", "E8", "2A"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
 
 
 # one fusion per table group, each naming more than one class

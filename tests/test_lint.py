@@ -21,12 +21,10 @@ def _unused_top_level_imports(path: str) -> list:
 
 
 def test_every_top_level_import_is_used():
-    # the package's __init__ imports only to re-export
     paths = [
         path
         for pattern in ("src/lca/*.py", "tests/*.py")
         for path in sorted(glob.glob(os.path.join(ROOT, pattern)))
-        if os.path.relpath(path, ROOT) != os.path.join("src", "lca", "__init__.py")
     ]
     assert os.path.join(ROOT, "src", "lca", "cli.py") in paths and os.path.abspath(__file__) in paths
     unused = {os.path.relpath(path, ROOT): _unused_top_level_imports(path) for path in paths}

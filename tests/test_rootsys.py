@@ -1,4 +1,5 @@
 import os
+from itertools import combinations
 
 import pytest
 
@@ -6,6 +7,7 @@ from lca.rootsys import (
     ProductRootSystem,
     SemisimpleTypeLabel,
     SimpleType,
+    cartan_matrix,
     classify_subdiagram,
     fold,
     root_system,
@@ -223,6 +225,45 @@ def test_classify_subdiagram_on_extended_deletions():
         nodes = [nk for nk in rs.extended_nodes() if nk[0] != node]
         comps = classify_subdiagram(rs, nodes)
         assert str(SemisimpleTypeLabel.of(*[t for t, _ in comps])) == label
+
+    # node orders: the D8 fork comes in descending key order
+    e8 = root_system("E8")
+    assert classify_subdiagram(e8, [nk for nk in e8.extended_nodes() if nk[0] != 1]) == [
+        (SimpleType("D", 8), (0, 8, 7, 6, 5, 4, 3, 2))
+    ]
+    assert classify_subdiagram(e8, [nk for nk in e8.extended_nodes() if nk[0] != 7]) == [
+        (SimpleType("A", 2), (0, 8)),
+        (SimpleType("E", 6), (1, 2, 3, 4, 5, 6)),
+    ]
+
+    # every 1-3 node deletion: the components partition the remaining keys,
+    # and the pairings in the returned order are the Cartan matrix
+    for name in ("E8", "E7", "E6", "F4", "G2", "D8", "B4", "C4"):
+        rs = root_system(name)
+        extended = rs.extended_nodes()
+        for size in (1, 2, 3):
+            for removed in combinations(range(rs.rank + 1), size):
+                nodes = [(k, c) for k, c in extended if k not in removed]
+                coords = dict(nodes)
+                comps = classify_subdiagram(rs, nodes)
+                returned = [k for _, keys in comps for k in keys]
+                assert sorted(returned) == sorted(coords), (name, removed)
+                for st, keys in comps:
+                    pairings = tuple(
+                        tuple(
+                            rs.pairing_with_coroot(rs.root_to_weight(coords[a]), coords[b])
+                            for b in keys
+                        )
+                        for a in keys
+                    )
+                    assert pairings == cartan_matrix(st), (name, removed, st, keys)
+
+
+def test_classify_subdiagram_rejects_a_whole_extended_diagram():
+    for name in ALL_TYPES:
+        rs = root_system(name)
+        with pytest.raises(ValueError, match="unrecognized diagram"):
+            classify_subdiagram(rs, rs.extended_nodes())
 
 
 def test_product_root_system():
