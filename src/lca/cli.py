@@ -4,30 +4,35 @@ Default output is markdown-ish plain text; ``--json`` switches to a stable
 JSON form (schema_version 1).  Exit status: 0 success, 1 audit failure,
 2 usage error.  ``lca`` ends like any Unix filter when its reader closes
 stdout early: SIGPIPE kills it silently, and a shell sees status 141.
+
+Each lca module loads on first use: ``import lca.cli`` only registers it in
+``sys.modules``, so ``branch`` runs just rootsys, linalg, repth and embed.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import signal
 import sys
 from functools import cache
 
-from .embed import chain_names, named_chain
-from .fixdim import (
-    ADJOINT_DIMENSION,
-    ClassFusion,
-    fixed_point_dimension,
-    group_classes,
-    group_type,
-    solve_traces,
-)
-from .repth import adjoint_character, factor_dimensions, restrict, semisimplify
-from .rootsys import SimpleType, build_root_system
-from .spin2 import SignVector, classical_centralizer, identify_2group, so_centralizer_type
-from .tabver import AUDITED_TABLES, TABLE_ALIASES, load_elements, load_tables, run_full_audit
-from .torsion import adjoint_trace
+
+def _lazy(name: str):
+    """The module lca.<name>, executed on its first attribute access."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[fullname]
+
+
+embed, fixdim, repth, rootsys, spin2, tabver, torsion = map(
+    _lazy, "embed fixdim repth rootsys spin2 tabver torsion".split())
 
 SCHEMA_VERSION = 1
 
@@ -39,7 +44,7 @@ def _emit_json(payload) -> int:
 
 
 def _cmd_roots(args) -> int:
-    rs = build_root_system(SimpleType.parse(args.type))
+    rs = rootsys.root_system(args.type)
     info = {
         "type": rs.label(),
         "rank": rs.rank,
@@ -57,16 +62,17 @@ def _cmd_roots(args) -> int:
 
 
 def _group_name(text: str) -> str:
-    """A table group (E8, AutE6, ...) keeps its name; any other simple type is
-    named canonically, so e8 and ' E8' are E8, printed and cached once."""
-    return text if text in ADJOINT_DIMENSION else str(group_type(text))
+    """A table group (E8, AutE6, ...) or any other simple type, named
+    canonically: e8, ' E8' and aute6 are E8 and AutE6, printed and cached once."""
+    names = {g.lower(): g for g in rootsys.ADJOINT_DIMENSION}
+    return names.get(text.strip().lower()) or str(rootsys.SimpleType.parse(text))
 
 
 def _cmd_torsion_enum(args) -> int:
     group = _group_name(args.type)
-    classes = group_classes(group)
+    classes = fixdim.group_classes(group)
     annotations = {
-        label: cls.annotation for (g, label), cls in load_elements().items() if g == group
+        label: cls.annotation for (g, label), cls in tabver.load_elements().items() if g == group
     }
     if args.json:
         payload = [
@@ -85,10 +91,10 @@ def _cmd_torsion_enum(args) -> int:
 
 def _cmd_trace(args) -> int:
     group = _group_name(args.type)
-    kac = next((c.kac for c in group_classes(group) if c.name == args.cls), None)
+    kac = next((c.kac for c in fixdim.group_classes(group) if c.name == args.cls), None)
     if kac is None:
         raise KeyError(f"no class {args.cls!r} in {group}")
-    value = adjoint_trace(kac, args.power)
+    value = torsion.adjoint_trace(kac, args.power)
     if args.json:
         return _emit_json(
             {"group": group, "class": args.cls, "power": args.power, "trace": str(value)}
@@ -99,15 +105,15 @@ def _cmd_trace(args) -> int:
 
 def _cmd_branch(args) -> int:
     if args.chain is None:
-        names = chain_names(args.group)
+        names = embed.chain_names(args.group)
         if args.json:
             return _emit_json({"group": args.group, "chains": names})
         print("\n".join(names))
         return 0
-    emb = named_chain(args.group, args.chain)
-    adj = adjoint_character(build_root_system(SimpleType.parse(args.group)))
-    restricted = restrict(adj, emb)
-    factors = factor_dimensions(emb.source, semisimplify(restricted))
+    emb = embed.named_chain(args.group, args.chain)
+    adj = repth.adjoint_character(rootsys.root_system(args.group))
+    restricted = repth.restrict(adj, emb)
+    factors = repth.factor_dimensions(emb.source, repth.semisimplify(restricted))
     trivial = any(all(x == 0 for x in mu) for mu, _, _ in factors)
     if args.json:
         return _emit_json(
@@ -134,9 +140,10 @@ def _cmd_branch(args) -> int:
 
 
 def _cmd_fixdim(args) -> int:
-    fusion = ClassFusion.parse(args.fusion)
-    traces = solve_traces(args.group)
-    value = fixed_point_dimension(ADJOINT_DIMENSION[args.group], fusion, traces, args.group)
+    fusion = fixdim.ClassFusion.parse(args.fusion)
+    traces = fixdim.solve_traces(args.group)
+    dim = rootsys.ADJOINT_DIMENSION[args.group]
+    value = fixdim.fixed_point_dimension(dim, fusion, traces, args.group)
     if args.json:
         return _emit_json(
             {
@@ -152,9 +159,9 @@ def _cmd_fixdim(args) -> int:
 
 
 def _cmd_classify_2group(args) -> int:
-    vectors = [SignVector.parse(v, args.n) for v in args.vectors]
-    group = identify_2group(vectors)
-    cent = so_centralizer_type(vectors, args.n)
+    vectors = [spin2.SignVector.parse(v, args.n) for v in args.vectors]
+    group = spin2.identify_2group(vectors)
+    cent = spin2.so_centralizer_type(vectors, args.n)
     payload = {
         "vectors": [str(v) for v in vectors],
         "group": str(group),
@@ -171,7 +178,7 @@ def _cmd_classify_2group(args) -> int:
 
 
 def _cmd_classical_centralizer(args) -> int:
-    label = classical_centralizer(args.blocks, args.ambient)
+    label = spin2.classical_centralizer(args.blocks, args.ambient)
     if args.json:
         return _emit_json(
             {"ambient": args.ambient, "blocks": args.blocks, "centralizer": str(label)}
@@ -183,7 +190,7 @@ def _cmd_classical_centralizer(args) -> int:
 def _cmd_solve_traces(args) -> int:
     rows = [
         {"class": label, "trace": str(value), "provenance": prov}
-        for (_, label), (value, prov) in sorted(solve_traces(args.group).entries.items())
+        for (_, label), (value, prov) in sorted(fixdim.solve_traces(args.group).entries.items())
     ]
     if args.json:
         return _emit_json({"group": args.group, "traces": rows})
@@ -197,11 +204,11 @@ def _cmd_solve_traces(args) -> int:
 def _cmd_verify(args) -> int:
     tables = None
     if args.table:
-        name = TABLE_ALIASES.get(args.table, args.table)
-        if name not in AUDITED_TABLES:
+        name = tabver.TABLE_ALIASES.get(args.table, args.table)
+        if name not in tabver.AUDITED_TABLES:
             raise KeyError(f"unknown table {args.table!r}")
         tables = (name,)
-    report = run_full_audit(load_tables(), tables)
+    report = tabver.run_full_audit(tabver.load_tables(), tables)
     if args.json:
         print(report.to_json(), end="")
     else:
@@ -249,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("chain", nargs="?")
 
     p = add("fixdim", _cmd_fixdim, help="fixed-point dimension from class fusion")
-    p.add_argument("--group", required=True, choices=sorted(ADJOINT_DIMENSION))
+    p.add_argument("--group", required=True, choices=sorted(rootsys.ADJOINT_DIMENSION))
     p.add_argument("--fusion", required=True)
 
     p = add("classify-2group", _cmd_classify_2group, help="spin-lift 2-group type and centralizer")
@@ -261,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("blocks", nargs="+", type=positive_int)
 
     p = add("solve-traces", _cmd_solve_traces, help="trace table with provenance")
-    p.add_argument("group", choices=sorted(ADJOINT_DIMENSION))
+    p.add_argument("group", choices=sorted(rootsys.ADJOINT_DIMENSION))
 
     p = add("verify", _cmd_verify, help="audit table rows")
     group = p.add_mutually_exclusive_group()

@@ -51,9 +51,9 @@ def product_embedding(embs) -> Embedding:
     return Embedding(source, target, tuple(rows))
 
 
-def subsystem_embedding(rs: RootSystem, nodes) -> Embedding:
-    """Embedding of the subsystem spanned by the given (key, root) pairs."""
-    comps = classify_subdiagram(rs, nodes)
+def subsystem_embedding(rs: RootSystem, nodes, comps=None) -> Embedding:
+    """Embedding of the subsystem spanned by (key, root) pairs; ``comps``: their classification."""
+    comps = classify_subdiagram(rs, nodes) if comps is None else comps
     coords = {k: c for k, c in nodes}
     factors = [build_root_system(st) for st, _ in comps]
     source = factors[0] if len(factors) == 1 else ProductRootSystem(factors)

@@ -16,25 +16,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
-from .rootsys import SimpleType, build_root_system
+from .rootsys import ADJOINT_DIMENSION, build_root_system, group_type
 from .torsion import enumerate_irreducible_elements
 
-# the automorphism-extended ambients: their identity component, which gives
-# the inner classes, rank and adjoint dimension, and the orders of the
-# diagram automorphisms that give the outer classes
-_IDENTITY_COMPONENT = {"AutE6": "E6", "AutD4": "D4"}
+# the orders of the diagram automorphisms that give the outer classes of the
+# automorphism-extended table groups
 _OUTER_TWISTS = {"AutE6": (2,), "AutD4": (2, 3)}
-
-
-def group_type(group: str) -> SimpleType:
-    """Simple type of a table group; AutE6 and AutD4 give E6 and D4."""
-    return SimpleType.parse(_IDENTITY_COMPONENT.get(group, group))
-
-
-ADJOINT_DIMENSION = {
-    g: group_type(g).adjoint_dimension
-    for g in ("E8", "E7", "E6", "F4", "G2", *_IDENTITY_COMPONENT)
-}
 
 KAC = "kac-computed"
 TWISTED_KAC = "twisted-diagram"

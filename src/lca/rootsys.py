@@ -5,19 +5,19 @@ weights as integer vectors in the fundamental-weight basis.  Everything is a
 plain integer: the Cartan and Gram matrices, norms, coroots, coroot
 pairings, the weight order ``<w, 2 rho-check>`` and the inner product of a
 weight with a root, which the symmetrizer gives without inverting the
-Cartan matrix.  ``Fraction`` appears only inside ``symmetrizer``, whose
-search divides Cartan entries before scaling back to integers.  Node
-numbering follows the standard Bourbaki labelling throughout, and
-``cartan_matrix`` is its one statement: the type and node order of a
-subsystem diagram are read off by matching its pairings against it.
+Cartan matrix.  The symmetrizer divides only where the quotient is exact, so
+no ``Fraction`` is needed.  Node numbering follows the standard Bourbaki
+labelling throughout, and ``cartan_matrix`` is its one statement: the type
+and node order of a subsystem diagram are read off by matching its pairings
+against it.  The seven table groups (E8, ..., AutE6, AutD4) and their
+adjoint dimensions are named here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .linalg import dot, matvec, transpose
@@ -75,6 +75,21 @@ class SimpleType:
         return _ADJOINT_DIM[self.family](self.rank)
 
 
+# identity components of the automorphism-extended table groups: inner classes, rank, dimension
+_IDENTITY_COMPONENT = {"AutE6": "E6", "AutD4": "D4"}
+
+
+def group_type(group: str) -> SimpleType:
+    """Simple type of a table group; AutE6 and AutD4 give E6 and D4."""
+    return SimpleType.parse(_IDENTITY_COMPONENT.get(group, group))
+
+
+ADJOINT_DIMENSION = {
+    g: group_type(g).adjoint_dimension
+    for g in ("E8", "E7", "E6", "F4", "G2", *_IDENTITY_COMPONENT)
+}
+
+
 def orthogonal_factors(dim: int) -> tuple[SimpleType, ...]:
     """Simple factors of SO(dim), dim >= 3, as the tables name them.
 
@@ -124,24 +139,27 @@ def cartan_matrix(st: SimpleType) -> tuple[tuple[int, ...], ...]:
 
 
 def symmetrizer(cartan) -> tuple[int, ...]:
-    """Integers d with A[i][j]*d[j] = A[j][i]*d[i]; d[i] is half the root norm."""
+    """Integers d with A[i][j]*d[j] = A[j][i]*d[i]; d[i] is half the root norm.
+
+    Each component starts at 6, which ratios 1/2 and 1/3 keep integral; others raise ValueError.
+    """
     n = len(cartan)
     d = [None] * n
     for start in range(n):
         if d[start] is not None:
             continue
-        d[start] = Fraction(1)
+        d[start] = 6
         queue = [start]
         while queue:
             i = queue.pop()
             for j in range(n):
                 if i != j and cartan[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * cartan[j][i] / cartan[i][j]
+                    d[j], remainder = divmod(d[i] * cartan[j][i], cartan[i][j])
+                    if remainder:
+                        raise ValueError(f"no integer symmetrizer for {cartan}")
                     queue.append(j)
-    denom = lcm(*(x.denominator for x in d))
-    scaled = [int(x * denom) for x in d]
-    g = gcd(*scaled)
-    return tuple(x // g for x in scaled)
+    g = gcd(*d)
+    return tuple(x // g for x in d)
 
 
 class RootSystem:

@@ -26,16 +26,9 @@ from dataclasses import asdict, dataclass
 from math import factorial
 
 from .embed import named_chain
-from .fixdim import (
-    ADJOINT_DIMENSION,
-    ClassFusion,
-    TraceTable,
-    base_trace_table,
-    fixed_point_dimension,
-    group_type,
-)
+from .fixdim import ClassFusion, TraceTable, base_trace_table, fixed_point_dimension
 from .repth import adjoint_character, has_trivial_factor, restrict
-from .rootsys import SemisimpleTypeLabel, SimpleType, build_root_system
+from .rootsys import ADJOINT_DIMENSION, SemisimpleTypeLabel, SimpleType, build_root_system, group_type
 
 DATA_ENV = "LCA_DATA_DIR"
 

@@ -24,7 +24,7 @@ cyclotomic polynomial in integer arithmetic alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from math import gcd
 
 from .embed import subsystem_embedding
@@ -89,6 +89,12 @@ class KacCoordinates:
         nodes = [(0, tuple(-x for x in self.top)), *self.fixed.extended_nodes()[1:]]
         return [node for node, s in zip(nodes, self.labels) if s == 0]
 
+    @cached_property
+    def zero_components(self) -> list:
+        """``classify_subdiagram`` of the zero nodes, computed once per instance."""
+        nodes = self.zero_nodes()
+        return classify_subdiagram(self.fixed, nodes) if nodes else []
+
     def __str__(self) -> str:
         return f"{self.diagram}[{','.join(map(str, self.labels))}]"
 
@@ -145,9 +151,7 @@ def eigenvalue_profile(kac: KacCoordinates) -> EigenvalueProfile:
 
 def torsion_centralizer(kac: KacCoordinates):
     """Centralizer subsystem type and the rank of its central torus."""
-    nodes = kac.zero_nodes()
-    comps = classify_subdiagram(kac.fixed, nodes) if nodes else []
-    label = SemisimpleTypeLabel.of(*[t for t, _ in comps])
+    label = SemisimpleTypeLabel.of(*[t for t, _ in kac.zero_components])
     deficit = sum(1 for s in kac.labels if s > 0) - 1
     return label, deficit
 
@@ -163,7 +167,8 @@ def fixes_a_vector(kac: KacCoordinates) -> bool:
         w = g0.root_to_weight(mu)
         weights[w] = weights.get(w, 0) + 1
     char = Character.from_dict(g0, weights)
-    return has_trivial_factor(restrict(char, subsystem_embedding(g0, kac.zero_nodes())))
+    emb = subsystem_embedding(g0, kac.zero_nodes(), kac.zero_components)
+    return has_trivial_factor(restrict(char, emb))
 
 
 # -- exact cyclotomic evaluation ---------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import os
+import runpy
 import shutil
 import signal
 import subprocess
@@ -21,7 +22,8 @@ from lca.rootsys import is_admissible
 from lca.tabver import AUDITED_TABLES, TABLE_ALIASES, load_elements
 from lca.torsion import eigenvalue_profile
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 DATA = os.path.join(SRC, "lca", "data")
 
 
@@ -63,11 +65,12 @@ def test_trace(capture):
 
 
 def test_trace_names_its_group_canonically(capture):
-    group_classes.cache_clear()
-    for spelling in ("e8", " E8", "E8"):
-        status, out, _ = capture("trace", spelling, "2A", "--json")
-        assert status == 0 and json.loads(out)["group"] == "E8"
-    assert group_classes.cache_info().currsize == 1
+    for group, cls, spellings in (("E8", "2A", ("e8", " E8")), ("AutE6", "2B", ("aute6", " AutE6"))):
+        group_classes.cache_clear()
+        for spelling in (*spellings, group):
+            status, out, _ = capture("trace", spelling, cls, "--json")
+            assert status == 0 and json.loads(out)["group"] == group
+        assert group_classes.cache_info().currsize == 1
 
 
 def test_fixdim(capture):
@@ -367,6 +370,44 @@ def test_module_invocation_runs_the_cli():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("G2: rank 2, 12 roots, adjoint dimension 14\n")
+
+
+def _fresh_modules(code):
+    """Run ``code`` in a fresh interpreter; each lca module, and fractions, as
+    "executed" or "lazy" (registered, its code not yet run) or absent."""
+    probe = code + (
+        "\nimport json, sys, types\n"
+        "print(json.dumps({n: 'executed' if type(m) is types.ModuleType else 'lazy'"
+        " for n, m in sys.modules.items() if n == 'fractions' or n.startswith('lca.')}))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_cli_env(), timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_registers_every_traced_module_and_runs_none():
+    # perfbench/tracer.py patches these modules right after `import lca.cli`
+    boundaries = runpy.run_path(os.path.join(ROOT, "perfbench", "tracer.py"))["BOUNDARIES"]
+    # each is also an attribute of the package, so `import lca.x; lca.x.f` works
+    modules = _fresh_modules(
+        "import sys\nimport lca.cli\n"
+        "assert all(getattr(lca, n[4:]) is m for n, m in sys.modules.items() if n[:4] == 'lca.')"
+    )
+    assert {f"lca.{m}" for m in boundaries} <= set(modules)
+    assert {n for n, state in modules.items() if state == "executed"} == {"lca.cli"}
+
+
+def test_branch_runs_only_the_modules_it_needs():
+    modules = _fresh_modules(
+        "import contextlib, io\nfrom lca.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(['branch', 'E8', 'b2^3', '--json']) == 0"
+    )
+    for name in ("lca.fixdim", "lca.torsion", "lca.tabver", "lca.spin2"):
+        assert modules[name] == "lazy", name
+    assert "fractions" not in modules
 
 
 def test_closed_stdout_ends_the_cli_by_sigpipe():

@@ -63,6 +63,13 @@ def test_symmetrizer_is_half_the_root_norms(name, expected):
     assert tuple(rs.root_norm(a) for a in simple) == tuple(2 * x for x in expected)
 
 
+def test_symmetrizer_refuses_a_ratio_that_does_not_divide():
+    # the affine A2^(2) bond has ratio 1/4, which leaves 6 * 1/4 fractional;
+    # finite-type ratios are 1, 2, 3, 1/2 and 1/3
+    with pytest.raises(ValueError):
+        symmetrizer(((2, -4), (-1, 2)))
+
+
 @pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8"])
 def test_coroot_pairings_of_extended_nodes_are_ints(name):
     rs = root_system(name)
@@ -289,7 +296,7 @@ def test_adjoint_dimension_consistent_with_weyl_formula():
 
 
 def test_fractions_only_where_a_division_happens():
-    """Only fixdim (the trace average) and rootsys.symmetrizer use ``fractions``."""
+    """Only fixdim's trace average uses ``fractions``; the symmetrizer divides exactly."""
     import ast
 
     import lca
@@ -314,5 +321,4 @@ def test_fractions_only_where_a_division_happens():
                 if not isinstance(top, (ast.Import, ast.ImportFrom))
                 and any(isinstance(n, ast.Name) and n.id in bound for n in ast.walk(top))
             }
-    assert set(users) == {"fixdim.py", "rootsys.py"}
-    assert users["rootsys.py"] == {"symmetrizer"}
+    assert users == {"fixdim.py": {"fixed_point_dimension"}}

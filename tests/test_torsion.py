@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 
+from lca import embed, torsion
 from lca.fixdim import group_classes
-from lca.rootsys import root_system
+from lca.rootsys import ADJOINT_DIMENSION, classify_subdiagram, root_system
 from lca.torsion import (
     KacCoordinates,
     adjoint_trace,
@@ -207,3 +210,19 @@ def test_twisted_node_in_a_levi_subgroup_is_dropped():
     for group, twist in TWISTS:
         for cls in enumerate_irreducible_elements(root_system(group), twist):
             assert not fixes_a_vector(cls.kac), cls.kac
+
+
+def test_enumeration_classifies_each_candidate_once(monkeypatch):
+    """The Levi test reuses the centralizer's components instead of classifying again."""
+    calls = []
+
+    def counted(rs, nodes):
+        calls.append((rs.label(), tuple(nodes)))
+        return classify_subdiagram(rs, nodes)
+
+    for module in (torsion, embed):
+        monkeypatch.setattr(module, "classify_subdiagram", counted)
+    for group in ADJOINT_DIMENSION:
+        calls.clear()
+        group_classes.__wrapped__(group)  # uncached, so every candidate is classified
+        assert calls and set(Counter(calls).values()) == {1}, group
