@@ -61,11 +61,16 @@ def _cmd_roots(args) -> int:
     return 0
 
 
+def _table_group(text: str) -> str:
+    """A table group named in any case and with surrounding spaces: e8, ' E8'
+    and aute6 are E8 and AutE6, printed and cached once.  Other text is returned as is."""
+    return {g.lower(): g for g in rootsys.ADJOINT_DIMENSION}.get(text.strip().lower(), text)
+
+
 def _group_name(text: str) -> str:
-    """A table group (E8, AutE6, ...) or any other simple type, named
-    canonically: e8, ' E8' and aute6 are E8 and AutE6, printed and cached once."""
-    names = {g.lower(): g for g in rootsys.ADJOINT_DIMENSION}
-    return names.get(text.strip().lower()) or str(rootsys.SimpleType.parse(text))
+    """A table group (E8, AutE6, ...) or any other simple type, named canonically."""
+    group = _table_group(text)
+    return group if group in rootsys.ADJOINT_DIMENSION else str(rootsys.SimpleType.parse(text))
 
 
 def _cmd_torsion_enum(args) -> int:
@@ -252,11 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=int, default=1)
 
     p = add("branch", _cmd_branch, help="restrict the adjoint module along a named chain")
-    p.add_argument("group")
+    p.add_argument("group", type=_table_group)
     p.add_argument("chain", nargs="?")
 
     p = add("fixdim", _cmd_fixdim, help="fixed-point dimension from class fusion")
-    p.add_argument("--group", required=True, choices=sorted(rootsys.ADJOINT_DIMENSION))
+    p.add_argument(
+        "--group", required=True, type=_table_group, choices=sorted(rootsys.ADJOINT_DIMENSION)
+    )
     p.add_argument("--fusion", required=True)
 
     p = add("classify-2group", _cmd_classify_2group, help="spin-lift 2-group type and centralizer")
@@ -268,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("blocks", nargs="+", type=positive_int)
 
     p = add("solve-traces", _cmd_solve_traces, help="trace table with provenance")
-    p.add_argument("group", choices=sorted(rootsys.ADJOINT_DIMENSION))
+    p.add_argument("group", type=_table_group, choices=sorted(rootsys.ADJOINT_DIMENSION))
 
     p = add("verify", _cmd_verify, help="audit table rows")
     group = p.add_mutually_exclusive_group()

@@ -12,9 +12,9 @@ its integrality is a check, never an assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .rootsys import ADJOINT_DIMENSION, build_root_system, group_type
 from .torsion import enumerate_irreducible_elements
@@ -27,12 +27,15 @@ KAC = "kac-computed"
 TWISTED_KAC = "twisted-diagram"
 
 
-@dataclass(frozen=True)
-class ClassFusion:
+class ClassFusion(NamedTuple("ClassFusion", [("group_order", int), ("entries", tuple)])):
     """Non-identity elements of a finite subgroup by ambient conjugacy class."""
 
-    group_order: int
-    entries: tuple
+    __slots__ = ()
+
+    def __new__(cls, group_order: int, entries: tuple):
+        if any(c <= 0 for _, c in entries):
+            raise ValueError("fusion counts must be positive")
+        return super().__new__(cls, group_order, entries)
 
     @staticmethod
     def parse(text: str) -> "ClassFusion":
@@ -47,10 +50,6 @@ class ClassFusion:
             entries.append((label, int(count) if caret else 1))
         return ClassFusion(1 + sum(c for _, c in entries), tuple(entries))
 
-    def __post_init__(self):
-        if any(c <= 0 for _, c in self.entries):
-            raise ValueError("fusion counts must be positive")
-
     def __str__(self) -> str:
         return ",".join(f"{l}^{c}" if c > 1 else l for l, c in self.entries)
 
@@ -62,11 +61,11 @@ class ClassFusion:
         return tuple(l for l, _ in self.entries)
 
 
-@dataclass
 class TraceTable:
     """Exact adjoint traces per (ambient group, class label), with provenance."""
 
-    entries: dict = field(default_factory=dict)
+    def __init__(self):
+        self.entries = {}
 
     def set(self, group: str, label: str, value: int, provenance: str):
         self.entries[(group, label)] = (value, provenance)
@@ -85,13 +84,14 @@ class TraceTable:
 def group_classes(group: str) -> tuple:
     """A table group's classes with irreducible centralizer: inner, then outer.
 
-    Computed once per process: the classes are frozen and read no file.
+    Computed once per process: the classes are frozen and read no file.  AutE6
+    and AutD4 take their inner classes from E6 and D4.
     """
     rs = build_root_system(group_type(group))
-    return tuple(
-        cls
-        for twist in (1, *_OUTER_TWISTS.get(group, ()))
-        for cls in enumerate_irreducible_elements(rs, twist)
+    if group not in _OUTER_TWISTS:
+        return enumerate_irreducible_elements(rs)
+    return group_classes(str(rs.type)) + tuple(
+        cls for twist in _OUTER_TWISTS[group] for cls in enumerate_irreducible_elements(rs, twist)
     )
 
 

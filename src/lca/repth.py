@@ -12,18 +12,19 @@ character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cache
 from operator import add, mul
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .linalg import dot, matmul
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(NamedTuple):
     """Weight multiset of a representation, keyed by fundamental coordinates."""
 
     ambient: object
-    entries: tuple = field(default_factory=tuple)
+    entries: tuple = ()
 
     @staticmethod
     def from_dict(ambient, weights: dict) -> "Character":
@@ -88,9 +89,11 @@ def dominant_weights(ambient, lam) -> list:
     return sorted(depth.items(), key=lambda item: (sum(item[1]), item[0]))
 
 
-def _freudenthal_multiplicities(ambient, lam) -> dict:
+@cache
+def _freudenthal_multiplicities(ambient, lam) -> MappingProxyType:
     """Multiplicities on the dominant weights of V(lam), by Freudenthal's recursion.
 
+    Computed once per (simple factor, lam) per process, as a read-only mapping.
     Inner products are integers on the scale of the symmetrizer d:
     (nu, alpha) is ``dot(nu, form)`` for alpha's positive-root form, and
     |lam+rho|^2 - |mu+rho|^2 = (lam - mu, lam + mu + 2 rho) is
@@ -119,7 +122,7 @@ def _freudenthal_multiplicities(ambient, lam) -> dict:
         if remainder or value <= 0:
             raise AssertionError("Freudenthal recursion produced a bad multiplicity")
         mults[mu] = value
-    return mults
+    return MappingProxyType(mults)
 
 
 def _dominant_multiplicities(ambient, lam) -> dict:
@@ -149,8 +152,9 @@ def dominant_character(ambient, lam) -> Character:
     return Character.from_dict(ambient, weights)
 
 
+@cache
 def adjoint_character(rs) -> Character:
-    """Character of the adjoint module: all roots plus rank zero weights."""
+    """Character of the adjoint module: all roots plus rank zero weights; once per process."""
     weights = {(0,) * rs.rank: rs.rank}
     for alpha in rs.positive_roots_fund:
         weights[alpha] = 1
@@ -164,17 +168,19 @@ def semisimplify(char: Character) -> tuple:
     Works on dominant weights only.  They are walked once, from the top down
     by the integer key <w, 2 rho-check> (twice the height); each weight still
     left is a factor, whose dominant multiplicities are peeled off.  Two
-    checks reject what is not a genuine character with ValueError: every
-    weight must have the multiplicity of its dominant conjugate, and the
-    factor dimensions must add up to the character's dimension.
+    checks reject what is not a genuine character with ValueError: the
+    multiplicities must be Weyl-stable, and the factor dimensions must add up
+    to the character's dimension.  W is generated by the simple reflections,
+    so stability is m(s_i w) = m(w) for every weight w and every i with
+    w_i != 0; both signs of w_i are checked, so a lone weight fails too.
     """
     ambient = char.ambient
-    remaining = {w: m for w, m in char.entries if ambient.is_dominant(w)}
+    table = dict(char.entries)
     for w, m in char.entries:
-        if remaining.get(ambient.dominantize(w)) != m:
-            raise ValueError(
-                f"multiplicity of {w} differs from its dominant conjugate's; not a character"
-            )
+        for i, x in enumerate(w):
+            if x and table.get(ambient.reflect(w, i)) != m:
+                raise ValueError(f"multiplicity of {w} is not Weyl-stable; not a character")
+    remaining = {w: m for w, m in char.entries if ambient.is_dominant(w)}
     key = ambient.two_rho_check
     factors = []
     for mu in sorted(remaining, key=lambda w: (dot(key, w), w), reverse=True):
@@ -202,8 +208,7 @@ def factor_dimensions(ambient, factors) -> list:
     return [(mu, mult, weyl_dimension(ambient, mu)) for mu, mult in factors]
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     """A subgroup inclusion, recorded as a map on weight lattices.
 
     ``matrix`` sends target (overgroup) fundamental coordinates to source

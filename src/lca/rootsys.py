@@ -15,10 +15,10 @@ adjoint dimensions are named here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .linalg import dot, matvec, transpose
 
@@ -49,16 +49,15 @@ def is_admissible(family: str, rank: int) -> bool:
     return False
 
 
-@dataclass(frozen=True, order=True)
-class SimpleType:
-    """One simple type, e.g. E8 or B4."""
+class SimpleType(NamedTuple("SimpleType", [("family", str), ("rank", int)])):
+    """One simple type, e.g. E8 or B4; an inadmissible one raises ValueError."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_admissible(self.family, self.rank):
-            raise ValueError(f"inadmissible simple type {self.family}{self.rank}")
+    def __new__(cls, family: str, rank: int):
+        if not is_admissible(family, rank):
+            raise ValueError(f"inadmissible simple type {family}{rank}")
+        return super().__new__(cls, family, rank)
 
     @staticmethod
     def parse(text: str) -> "SimpleType":
@@ -181,31 +180,31 @@ class RootSystem:
             for i in range(self.rank)
         )
         self._close_roots()
-        self.positive_roots_fund = tuple(self.root_to_weight(c) for c in self.positive_roots)
 
     def _close_roots(self):
-        simple = [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
-        roots = set(simple)
-        frontier = list(simple)
+        """The positive roots, walked up from the simple ones with their fundamental coordinates.
+
+        Reflecting in alpha_i subtracts the pairing times alpha_i, whose
+        fundamental coordinates are row i of the Cartan matrix; a negative
+        pairing leads to a higher positive root, and every one is reached so.
+        """
+        n = self.rank
+        fund = {tuple(int(j == i) for j in range(n)): row for i, row in enumerate(self.cartan)}
+        frontier = list(fund)
         while frontier:
             nxt = []
             for c in frontier:
-                for i, pairing in enumerate(self.root_to_weight(c)):
-                    r = list(c)
-                    r[i] -= pairing
-                    r = tuple(r)
-                    if r not in roots:
-                        roots.add(r)
+                for i, pairing in enumerate(fund[c]):
+                    if pairing < 0 and (r := c[:i] + (c[i] - pairing,) + c[i + 1 :]) not in fund:
+                        fund[r] = tuple(x - pairing * a for x, a in zip(fund[c], self.cartan[i]))
                         nxt.append(r)
             frontier = nxt
-        self.all_roots = frozenset(roots) | frozenset(tuple(-x for x in c) for c in roots)
-        self.positive_roots = tuple(
-            sorted(c for c in self.all_roots if all(x >= 0 for x in c))
-        )
+        self.positive_roots = tuple(sorted(fund))
+        self.positive_roots_fund = tuple(fund[c] for c in self.positive_roots)
+        self.all_roots = frozenset(fund) | frozenset(tuple(-x for x in c) for c in fund)
         self.highest_root = max(self.positive_roots, key=sum)
         self.marks = self.highest_root
-        fund = self.root_to_weight(self.highest_root)
-        if any(m < 0 for m in fund):
+        if any(m < 0 for m in fund[self.highest_root]):
             raise AssertionError("highest root is not dominant")
 
     @cached_property
@@ -267,17 +266,16 @@ class RootSystem:
     # -- Weyl group action ------------------------------------------------
 
     def reflect(self, weight, i: int) -> tuple[int, ...]:
+        """s_i(weight): subtract weight[i] times alpha_i, which is row i of the Cartan matrix."""
         m = weight[i]
-        if m == 0:
-            return tuple(weight)
-        return tuple(weight[j] - m * self.cartan[i][j] for j in range(self.rank))
+        return tuple(x - m * a for x, a in zip(weight, self.cartan[i]))
 
     def dominantize(self, weight) -> tuple[int, ...]:
         w = tuple(weight)
         while True:
             for i, m in enumerate(w):
                 if m < 0:
-                    w = tuple(x - m * a for x, a in zip(w, self.cartan[i]))
+                    w = self.reflect(w, i)
                     break
             else:
                 return w
@@ -372,12 +370,15 @@ class ProductRootSystem:
     def two_rho_check(self) -> tuple[int, ...]:
         return tuple(x for f in self.factors for x in f.two_rho_check)
 
+    @cached_property
+    def cartan(self) -> tuple[tuple[int, ...], ...]:
+        """The block-diagonal Cartan matrix, so ``reflect`` takes a global simple index."""
+        return tuple(self._pad(i, row) for i, f in enumerate(self.factors) for row in f.cartan)
+
+    reflect = RootSystem.reflect
+
     def is_dominant(self, weight) -> bool:
         return all(x >= 0 for x in weight)
-
-    def dominantize(self, weight):
-        parts = [f.dominantize(w) for f, w in zip(self.factors, self.split(weight))]
-        return tuple(x for p in parts for x in p)
 
     def weyl_orbit(self, weight) -> frozenset:
         orbits = [f.weyl_orbit(w) for f, w in zip(self.factors, self.split(weight))]
@@ -396,8 +397,7 @@ class ProductRootSystem:
 # -- semisimple type labels -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SemisimpleTypeLabel:
+class SemisimpleTypeLabel(NamedTuple):
     """Multiset of simple types with display-only annotations.
 
     A bar annotation marks factors generated by long root subgroups; it never
@@ -479,8 +479,14 @@ def classify_subdiagram(rs: RootSystem, nodes):
     the first such order in ascending keys, but with the fork of D_n, n >= 5,
     in descending key order (fixing the half-spin labelling).  A single node
     is A1, or B1 if short in a type-B ambient.  A component of no finite
-    type, such as a whole extended diagram, raises ValueError.
+    type, such as a whole extended diagram, raises ValueError.  Each distinct
+    (rs, nodes) is classified once per process.
     """
+    return list(_classified(rs, tuple(nodes)))
+
+
+@cache
+def _classified(rs: RootSystem, nodes: tuple) -> tuple:
     keys = sorted(k for k, _ in nodes)
     norm = {k: rs.root_norm(c) for k, c in nodes}
     fund = {k: rs.root_to_weight(c) for k, c in nodes}
@@ -500,7 +506,7 @@ def classify_subdiagram(rs: RootSystem, nodes):
         (k,) = comp
         short = norm[k] < max(norm.values())
         out.append((SimpleType("B" if short and rs.type.family == "B" else "A", 1), (k,)))
-    return sorted(out, key=lambda t: (t[0].family, t[0].rank, t[1]))
+    return tuple(sorted(out, key=lambda t: (t[0].family, t[0].rank, t[1])))
 
 
 def _match_component(comp, pair):

@@ -11,23 +11,22 @@ against a catalogue of the named 2-group types.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rootsys import SemisimpleTypeLabel, SimpleType, orthogonal_factors
 
 _RUN = re.compile(r"(-?1)(?:\^(\d+))?$")
 
 
-@dataclass(frozen=True)
-class SignVector:
-    n: int
-    signs: tuple
+class SignVector(NamedTuple("SignVector", [("n", int), ("signs", tuple)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.signs) != self.n or any(s not in (1, -1) for s in self.signs):
+    def __new__(cls, n: int, signs: tuple):
+        if len(signs) != n or any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be a +/-1 sequence of length n")
-        if self.weight % 2:
+        if signs.count(-1) % 2:
             raise ValueError("sign vectors must have an even number of -1 entries")
+        return super().__new__(cls, n, signs)
 
     @staticmethod
     def parse(text: str, n: int | None = None) -> "SignVector":
@@ -69,8 +68,7 @@ class SignVector:
         return self.weight == 0
 
 
-@dataclass(frozen=True)
-class EigenPartition:
+class EigenPartition(NamedTuple):
     """Joint eigenspace blocks of a set of sign vectors, in coordinate order."""
 
     n: int
@@ -102,8 +100,7 @@ def trivial_partition(n: int) -> EigenPartition:
     return EigenPartition(n, (tuple(range(n)),))
 
 
-@dataclass(frozen=True)
-class SOCentralizer:
+class SOCentralizer(NamedTuple):
     label: SemisimpleTypeLabel
     torus_blocks: int
     dropped: int
@@ -198,8 +195,7 @@ def _element_order(x):
     return order
 
 
-@dataclass(frozen=True)
-class TwoGroupType:
+class TwoGroupType(NamedTuple):
     name: str
     order: int
     exponent: int

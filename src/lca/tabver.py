@@ -22,8 +22,8 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass
 from math import factorial
+from typing import NamedTuple
 
 from .embed import named_chain
 from .fixdim import ClassFusion, TraceTable, base_trace_table, fixed_point_dimension
@@ -54,8 +54,7 @@ def data_dir() -> str:
 # -- characteristic constraints ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class CharConstraint:
+class CharConstraint(NamedTuple):
     """A predicate on the ambient characteristic, as printed ('', p=3, p!=2,3)."""
 
     kind: str = "any"  # any | eq | ne
@@ -146,8 +145,7 @@ def group_name_order(name: str) -> int:
 # -- table rows ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     table: str
     index: int
     group: str
@@ -171,8 +169,7 @@ class TableRow:
         return any(f.startswith("expect-") for f in self.flags)
 
 
-@dataclass(frozen=True)
-class ElementClass:
+class ElementClass(NamedTuple):
     group: str
     label: str
     order: int
@@ -181,8 +178,7 @@ class ElementClass:
     constraint: CharConstraint
 
 
-@dataclass
-class TableSet:
+class TableSet(NamedTuple):
     rows: dict  # table id -> tuple of TableRow, in AUDITED_TABLES order
     classes: dict  # (group, label) -> ElementClass
 
@@ -320,8 +316,7 @@ def assemble_traces(rows) -> TraceTable:
 # -- audit reports ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(NamedTuple):
     table: str
     row_id: str
     row: str
@@ -330,8 +325,7 @@ class AuditEntry:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     entries: tuple
 
     @property
@@ -353,7 +347,7 @@ class AuditReport:
         payload = {
             "schema_version": 1,
             "ok": self.ok,
-            "entries": [asdict(e) for e in self.entries],
+            "entries": [e._asdict() for e in self.entries],
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 

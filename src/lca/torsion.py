@@ -23,9 +23,9 @@ cyclotomic polynomial in integer arithmetic alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .embed import subsystem_embedding
 from .linalg import dot
@@ -45,25 +45,25 @@ def fixed_subsystem(rs: RootSystem, twist: int) -> RootSystem:
     return rs if twist == 1 else root_system(str(fold(rs, twist)))
 
 
-@dataclass(frozen=True)
-class KacCoordinates:
+class KacCoordinates(
+    NamedTuple("KacCoordinates", [("rs", RootSystem), ("labels", tuple), ("twist", int)])
+):
     """Nonnegative labels on the (twisted) affine diagram; index 0 is the affine node.
 
     ``rs`` is g.  With ``twist`` k > 1, indices 1..l are the simple roots of
-    g_0 = ``fixed_subsystem(rs, k)``.
+    g_0 = ``fixed_subsystem(rs, k)``.  No ``__slots__``: ``zero_components``
+    is cached in the instance dict, while the fields stay read-only.
     """
 
-    rs: RootSystem
-    labels: tuple
-    twist: int = 1
-
-    def __post_init__(self):
-        if len(self.labels) != self.fixed.rank + 1:
+    def __new__(cls, rs: RootSystem, labels: tuple, twist: int = 1):
+        self = super().__new__(cls, rs, labels, twist)
+        if len(labels) != self.fixed.rank + 1:
             raise ValueError("need one label per affine-diagram node")
-        if any(s < 0 for s in self.labels):
+        if any(s < 0 for s in labels):
             raise ValueError("labels must be nonnegative")
-        if gcd(*self.labels) != 1:
+        if gcd(*labels) != 1:
             raise ValueError("labels must have gcd 1")
+        return self
 
     @property
     def fixed(self) -> RootSystem:
@@ -90,10 +90,10 @@ class KacCoordinates:
         return [node for node, s in zip(nodes, self.labels) if s == 0]
 
     @cached_property
-    def zero_components(self) -> list:
+    def zero_components(self) -> tuple:
         """``classify_subdiagram`` of the zero nodes, computed once per instance."""
         nodes = self.zero_nodes()
-        return classify_subdiagram(self.fixed, nodes) if nodes else []
+        return tuple(classify_subdiagram(self.fixed, nodes) if nodes else ())
 
     def __str__(self) -> str:
         return f"{self.diagram}[{','.join(map(str, self.labels))}]"
@@ -124,8 +124,7 @@ def graded_weights(rs: RootSystem, twist: int = 1) -> tuple:
     return tuple(weights)
 
 
-@dataclass(frozen=True)
-class EigenvalueProfile:
+class EigenvalueProfile(NamedTuple):
     """Eigenspace dimensions of an element on the adjoint module."""
 
     order: int
@@ -264,8 +263,7 @@ _CLASS_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class TorsionClass:
+class TorsionClass(NamedTuple):
     name: str
     order: int
     kac: KacCoordinates

@@ -7,7 +7,6 @@ Weyl group, and root counts come from reflection closure done by hand here.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -245,8 +244,8 @@ def capped_dominant_count(rs, lam, cap: int) -> int:
 
 def strip_flags(ts: TableSet) -> TableSet:
     """The same table set with every expected-discrepancy flag removed."""
-    rows = {table: tuple(replace(r, flags=()) for r in rows) for table, rows in ts.rows.items()}
-    return replace(ts, rows=rows)
+    rows = {table: tuple(r._replace(flags=()) for r in rows) for table, rows in ts.rows.items()}
+    return ts._replace(rows=rows)
 
 
 def levi_embedding(rs: RootSystem, kept):

@@ -29,3 +29,21 @@ def test_every_top_level_import_is_used():
     assert os.path.join(ROOT, "src", "lca", "cli.py") in paths and os.path.abspath(__file__) in paths
     unused = {os.path.relpath(path, ROOT): _unused_top_level_imports(path) for path in paths}
     assert {path: names for path, names in unused.items() if names} == {}
+
+
+def test_no_lca_module_imports_dataclasses():
+    """Records are NamedTuples or small tuple classes: no decorator generates code at import."""
+    importers = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "lca", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.partition(".")[0] == "dataclasses" for m in modules):
+                importers.append(os.path.relpath(path, ROOT))
+    assert importers == []

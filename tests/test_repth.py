@@ -194,20 +194,24 @@ def test_semisimplify_rejects_tampered_characters(name):
     table = char.as_dict()
     outer = [w for w in table if not ambient.is_dominant(w)]
     assert outer
+    unstable = "is not Weyl-stable"
     for w in outer:
         dropped = {v: m for v, m in table.items() if v != w}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=unstable):
             semisimplify(Character.from_dict(ambient, dropped))
         raised = table | {w: table[w] + 1}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=unstable):
             semisimplify(Character.from_dict(ambient, raised))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=unstable):
             semisimplify(Character.from_dict(ambient, {w: 1}))
         # one unit moved to another non-dominant weight: the dimension holds
         other = next(v for v in outer if v != w)
         moved = table | {w: table[w] + 1, other: table[other] - 1}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=unstable):
             semisimplify(Character.from_dict(ambient, moved))
+    # every coordinate negative: a check of positive coordinates alone would pass it
+    with pytest.raises(ValueError, match=unstable):
+        semisimplify(Character.from_dict(ambient, {tuple(-x for x in top): 1}))
 
 
 def test_b2_cubed_chain_has_no_trivial_factor():

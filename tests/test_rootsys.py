@@ -39,6 +39,7 @@ def test_root_counts(name, count):
     assert len(rs.all_roots) == count
     assert reflection_closure_count(rs) == count
     assert len(rs.all_roots) + rs.rank == rs.type.adjoint_dimension
+    assert rs.positive_roots_fund == tuple(rs.root_to_weight(c) for c in rs.positive_roots)
 
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM_COUNTS))

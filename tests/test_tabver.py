@@ -1,9 +1,13 @@
 import os
+from collections import Counter
 
 import pytest
 
+from lca import embed, fixdim, repth, rootsys, torsion
 from lca.fixdim import ADJOINT_DIMENSION, TWISTED_KAC, ClassFusion, base_trace_table, group_classes
-from lca.rootsys import SemisimpleTypeLabel
+from lca.repth import dominant_weights
+from lca.rootsys import SemisimpleTypeLabel, classify_subdiagram
+from lca.torsion import enumerate_irreducible_elements
 from lca.tabver import (
     AUDITED_TABLES,
     CharConstraint,
@@ -276,3 +280,42 @@ def test_normalizer_table_well_formed():
         assert group in ("E8", "E7", "E6", "F4", "G2")
         assert subgroup.dimension > 0
         assert quotient_order >= 2
+
+
+def test_one_audit_computes_each_table_once(monkeypatch, tables):
+    """Freudenthal runs once per (factor, highest weight), enumeration once per (type, twist)."""
+    freudenthal, enumerations = Counter(), Counter()
+
+    def counted_weights(ambient, lam):  # called once per run of Freudenthal's recursion
+        freudenthal[ambient.label(), lam] += 1
+        return dominant_weights(ambient, lam)
+
+    def counted_enumeration(rs, twist=1):
+        enumerations[rs.label(), twist] += 1
+        return enumerate_irreducible_elements(rs, twist)
+
+    monkeypatch.setattr(repth, "dominant_weights", counted_weights)
+    monkeypatch.setattr(fixdim, "enumerate_irreducible_elements", counted_enumeration)
+    for cached in (repth._freudenthal_multiplicities, repth.adjoint_character, group_classes):
+        cached.cache_clear()
+    run_full_audit(tables)
+    assert freudenthal and set(freudenthal.values()) == {1}
+    # E8, E7, E6, F4, G2 and D4 inner; E6^(2), D4^(2) and D4^(3) outer
+    assert len(enumerations) == 9 and set(enumerations.values()) == {1}
+
+
+def test_one_audit_classifies_each_node_set_once(monkeypatch, tables):
+    """Enumeration and the chains' extended deletions share one classification per node set."""
+    calls = Counter()
+
+    def counted(rs, nodes):
+        calls[rs.label(), tuple(nodes)] += 1
+        return classify_subdiagram(rs, nodes)
+
+    for module in (torsion, embed):
+        monkeypatch.setattr(module, "classify_subdiagram", counted)
+    for cached in (rootsys._classified, group_classes, embed._build_chain):
+        cached.cache_clear()
+    run_full_audit(tables)
+    assert max(calls.values()) > 1  # the chains re-type node sets that enumeration typed
+    assert rootsys._classified.cache_info().misses == len(calls)
