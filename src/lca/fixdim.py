@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .rootsys import ADJOINT_DIMENSION, build_root_system, group_type
@@ -47,7 +48,10 @@ class ClassFusion(NamedTuple("ClassFusion", [("group_order", int), ("entries", t
             label, caret, count = token.partition("^")
             if not label:
                 raise ValueError(f"empty class label in fusion token {token!r}")
-            entries.append((label, int(count) if caret else 1))
+            try:
+                entries.append((label, int(count) if caret else 1))
+            except ValueError:
+                raise ValueError(f"bad count {count!r} in fusion token {token!r}") from None
         return ClassFusion(1 + sum(c for _, c in entries), tuple(entries))
 
     def __str__(self) -> str:
@@ -61,14 +65,17 @@ class ClassFusion(NamedTuple("ClassFusion", [("group_order", int), ("entries", t
         return tuple(l for l, _ in self.entries)
 
 
-class TraceTable:
-    """Exact adjoint traces per (ambient group, class label), with provenance."""
+class TraceTable(NamedTuple("TraceTable", [("entries", MappingProxyType)])):
+    """Exact adjoint traces per (ambient group, class label), with provenance.
 
-    def __init__(self):
-        self.entries = {}
+    Read-only: ``entries`` maps (group, label) to (value, provenance) through a
+    ``MappingProxyType`` over a private copy, so writing into it raises TypeError.
+    """
 
-    def set(self, group: str, label: str, value: int, provenance: str):
-        self.entries[(group, label)] = (value, provenance)
+    __slots__ = ()
+
+    def __new__(cls, entries=()):
+        return super().__new__(cls, MappingProxyType(dict(entries)))
 
     def get(self, group: str, label: str) -> int:
         try:
@@ -95,23 +102,22 @@ def group_classes(group: str) -> tuple:
     )
 
 
+@cache
 def solve_traces(group: str) -> TraceTable:
     """One table group's traces, every one computed from Kac coordinates.
 
     The name is the ``solve-traces`` verb's; nothing is solved from rows.
+    Computed once per process and group, like the classes behind it.
     """
-    table = TraceTable()
-    for cls in group_classes(group):
-        table.set(group, cls.name, cls.trace, KAC if cls.kac.twist == 1 else TWISTED_KAC)
-    return table
+    return TraceTable(
+        ((group, cls.name), (cls.trace, KAC if cls.kac.twist == 1 else TWISTED_KAC))
+        for cls in group_classes(group)
+    )
 
 
 def base_trace_table(groups=tuple(ADJOINT_DIMENSION)) -> TraceTable:
     """The traces of the given table groups (default: all seven) in one table."""
-    table = TraceTable()
-    for group in groups:
-        table.entries.update(solve_traces(group).entries)
-    return table
+    return TraceTable(item for group in groups for item in solve_traces(group).entries.items())
 
 
 def fixed_point_dimension(adjoint_dim: int, fusion: ClassFusion, traces: TraceTable, group: str) -> Fraction:

@@ -8,6 +8,7 @@ effort is spent on asymptotics.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 
@@ -16,16 +17,16 @@ def transpose(a):
 
 
 def matvec(a, v: Sequence) -> tuple:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def matmul(a, b):
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
 def dot(u: Sequence, v: Sequence):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def halve(a) -> tuple[tuple[int, ...], ...]:

@@ -268,10 +268,7 @@ class TorsionClass(NamedTuple):
     order: int
     kac: KacCoordinates
     centralizer: SemisimpleTypeLabel
-
-    @property
-    def trace(self) -> int:
-        return adjoint_trace(self.kac)
+    trace: int  # the adjoint trace, computed once when the class is enumerated
 
     def to_json(self) -> dict:
         return {
@@ -306,5 +303,5 @@ def enumerate_irreducible_elements(rs: RootSystem, twist: int = 1) -> tuple:
         if key in seen or (label.rank < rs.rank and fixes_a_vector(kac)):
             continue
         name = _CLASS_NAMES.get((kac.diagram, *key), f"{kac.order}?")
-        seen[key] = TorsionClass(name, kac.order, kac, label)
+        seen[key] = TorsionClass(name, kac.order, kac, label, adjoint_trace(kac))
     return tuple(sorted(seen.values(), key=lambda t: (t.order, t.name)))

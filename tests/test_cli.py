@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -14,13 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lca import torsion
 from lca.cli import build_parser, run
 from lca.embed import _CHAINS
-from lca.fixdim import ADJOINT_DIMENSION, group_classes
+from lca.fixdim import ADJOINT_DIMENSION, group_classes, solve_traces
 from lca.repth import _freudenthal_multiplicities, adjoint_character
 from lca.rootsys import _classified, is_admissible
 from lca.tabver import AUDITED_TABLES, TABLE_ALIASES, load_elements
-from lca.torsion import eigenvalue_profile
+from lca.torsion import adjoint_trace, eigenvalue_profile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -71,6 +73,7 @@ def test_trace_names_its_group_canonically(capture):
         ("AutE6", "2B", ("aute6", " AutE6"), 2),
     ):
         group_classes.cache_clear()
+        solve_traces.cache_clear()
         for spelling in (*spellings, group):
             status, out, _ = capture("trace", spelling, cls, "--json")
             assert status == 0 and json.loads(out)["group"] == group
@@ -88,6 +91,14 @@ def test_fixdim(capture):
     assert payload["schema_version"] == 1
     assert payload["fixed_dimension"] == "31/3"
     assert payload["integral"] is False
+
+
+@pytest.mark.parametrize("fusion, count", [("2A^x", "'x'"), ("2A^", "''"), ("2B^3,2A^x", "'x'")])
+def test_fixdim_names_a_malformed_count(capture, fusion, count):
+    token = fusion.rpartition(",")[2]
+    assert capture("fixdim", "--group", "E8", "--fusion", fusion) == (
+        2, "", f"error: bad count {count} in fusion token '{token}'\n"
+    )
 
 
 def test_classify_2group(capture):
@@ -139,6 +150,7 @@ def test_trace_verbs_need_no_tables(tmp_path, monkeypatch, capture, argv, want):
     # one group's traces come from Kac coordinates alone; no table is read,
     # and none was read by an earlier test warming the per-process values
     group_classes.cache_clear()
+    solve_traces.cache_clear()
     eigenvalue_profile.cache_clear()
     monkeypatch.setenv("LCA_DATA_DIR", str(tmp_path))
     status, out, err = capture(*argv)
@@ -267,7 +279,7 @@ def test_verify_exit_one_when_flags_removed(tmp_path, monkeypatch, capsys):
     "name,line,new,where",
     [
         ("table_e8.txt", "E8|2^2|4|D4^2|2B^3|||", "E8|2^2|4|D4^2|2B^x|||",
-         "table_e8.txt line 6: field fusion:"),
+         "table_e8.txt line 6: field fusion: bad count 'x' in fusion token '2B^x'"),
         ("table_e8.txt", "E8|2^2|4|D4^2|2B^3|||", "E8|2^2|4|D4^2|^3|||",
          "table_e8.txt line 6: field fusion: empty class label in fusion token '^3'"),
         ("table_elements.txt", "E8|2B|2|D8||", "E8|2B|two|D8||",
@@ -465,6 +477,7 @@ FUSIONS = {
 
 def _clear_process_caches():
     group_classes.cache_clear()
+    solve_traces.cache_clear()
     eigenvalue_profile.cache_clear()
     build_parser.cache_clear()
     _classified.cache_clear()
@@ -496,6 +509,25 @@ def test_answers_in_one_process_equal_fresh_answers(capture):
     _clear_process_caches()
     for _ in range(2):
         assert [capture(*argv) for argv in argvs] == fresh
+
+
+def test_trace_queries_compute_each_class_trace_once(monkeypatch, capture):
+    """Repeated fixdim and solve-traces queries reuse one trace table per group."""
+    calls = Counter()
+
+    def counted(kac, power=1):
+        calls[kac, power] += 1
+        return adjoint_trace(kac, power)
+
+    monkeypatch.setattr(torsion, "adjoint_trace", counted)
+    _clear_process_caches()
+    for _ in range(3):
+        for group, spellings in (("E8", ("E8", "e8")), ("AutE6", ("AutE6", " aute6"))):
+            for spelling in spellings:
+                assert capture("fixdim", "--group", spelling, "--fusion", FUSIONS[group])[0] == 0
+                assert capture("solve-traces", spelling, "--json")[0] == 0
+    assert calls and set(calls.values()) == {1}
+    assert solve_traces.cache_info().currsize == 2
 
 
 def test_cached_classes_are_shared_and_frozen():

@@ -61,11 +61,25 @@ def test_monotonicity_on_nested_subgroups(traces):
 
 
 def test_trace_table_roundtrip():
-    table = TraceTable()
-    table.set("E8", "2A", 24, KAC)
+    source = {("E8", "2A"): (24, KAC)}
+    table = TraceTable(source)
+    source[("E8", "2A")] = (0, KAC)  # the table keeps its own copy
     assert table.get("E8", "2A") == 24 and table.provenance("E8", "2A") == KAC
     with pytest.raises(KeyError, match="2B of E8"):
         table.get("E8", "2B")
+    with pytest.raises(TypeError):
+        table.entries[("E8", "2B")] = (-8, KAC)
+
+
+def test_solve_traces_is_computed_once_and_read_only(traces):
+    table = solve_traces("E8")
+    assert solve_traces("E8") is table
+    for written in (table, traces):
+        with pytest.raises(TypeError):
+            written.entries[("E8", "2A")] = (0, KAC)
+        with pytest.raises(TypeError):
+            del written.entries[("E8", "2A")]
+    assert table.get("E8", "2A") == traces.get("E8", "2A") == 24
 
 
 def test_solve_traces_is_one_group(traces):

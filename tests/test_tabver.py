@@ -296,7 +296,9 @@ def test_one_audit_computes_each_table_once(monkeypatch, tables):
 
     monkeypatch.setattr(repth, "dominant_weights", counted_weights)
     monkeypatch.setattr(fixdim, "enumerate_irreducible_elements", counted_enumeration)
-    for cached in (repth._freudenthal_multiplicities, repth.adjoint_character, group_classes):
+    for cached in (
+        repth._freudenthal_multiplicities, repth.adjoint_character, group_classes, fixdim.solve_traces
+    ):
         cached.cache_clear()
     run_full_audit(tables)
     assert freudenthal and set(freudenthal.values()) == {1}
@@ -314,7 +316,7 @@ def test_one_audit_classifies_each_node_set_once(monkeypatch, tables):
 
     for module in (torsion, embed):
         monkeypatch.setattr(module, "classify_subdiagram", counted)
-    for cached in (rootsys._classified, group_classes, embed._build_chain):
+    for cached in (rootsys._classified, group_classes, fixdim.solve_traces, embed._build_chain):
         cached.cache_clear()
     run_full_audit(tables)
     assert max(calls.values()) > 1  # the chains re-type node sets that enumeration typed
