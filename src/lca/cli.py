@@ -75,7 +75,7 @@ def _group_name(text: str) -> str:
 
 def _cmd_torsion_enum(args) -> int:
     group = _group_name(args.type)
-    classes = fixdim.group_classes(group)
+    classes = fixdim.classes_of(group)
     annotations = {
         label: cls.annotation for (g, label), cls in tabver.load_elements().items() if g == group
     }
@@ -96,7 +96,7 @@ def _cmd_torsion_enum(args) -> int:
 
 def _cmd_trace(args) -> int:
     group = _group_name(args.type)
-    kac = next((c.kac for c in fixdim.group_classes(group) if c.name == args.cls), None)
+    kac = next((c.kac for c in fixdim.classes_of(group) if c.name == args.cls), None)
     if kac is None:
         raise KeyError(f"no class {args.cls!r} in {group}")
     value = torsion.adjoint_trace(kac, args.power)

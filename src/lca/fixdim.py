@@ -17,7 +17,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .rootsys import ADJOINT_DIMENSION, build_root_system, group_type
+from .rootsys import ADJOINT_DIMENSION, SimpleType, build_root_system, group_type
 from .torsion import enumerate_irreducible_elements
 
 # the orders of the diagram automorphisms that give the outer classes of the
@@ -87,6 +87,17 @@ class TraceTable(NamedTuple("TraceTable", [("entries", MappingProxyType)])):
         return self.entries[(group, label)][1]
 
 
+def classes_of(name: str) -> tuple:
+    """The classes of a table group, or of any other simple type named canonically.
+
+    Only the seven table groups are kept (``group_classes``); any other type,
+    such as one named on the command line, is enumerated on each call.
+    """
+    if name in ADJOINT_DIMENSION:
+        return group_classes(name)
+    return enumerate_irreducible_elements(build_root_system(SimpleType.parse(name)))
+
+
 @cache
 def group_classes(group: str) -> tuple:
     """A table group's classes with irreducible centralizer: inner, then outer.
@@ -97,7 +108,7 @@ def group_classes(group: str) -> tuple:
     rs = build_root_system(group_type(group))
     if group not in _OUTER_TWISTS:
         return enumerate_irreducible_elements(rs)
-    return group_classes(str(rs.type)) + tuple(
+    return classes_of(str(rs.type)) + tuple(
         cls for twist in _OUTER_TWISTS[group] for cls in enumerate_irreducible_elements(rs, twist)
     )
 

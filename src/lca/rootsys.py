@@ -544,61 +544,3 @@ def _place(pair, cartan, slots, order):
             if found is not None:
                 return found
     return None
-
-
-# -- diagram folding --------------------------------------------------------
-
-_FOLD_RULES = {
-    ("A", 2): lambda n: SimpleType("C", (n + 1) // 2) if n % 2 else SimpleType("B", n // 2),
-    ("D", 2): lambda n: SimpleType("B", n - 1),
-    ("D", 3): lambda n: SimpleType("G", 2),
-    ("E", 2): lambda n: SimpleType("F", 4),
-}
-
-
-def fold(rs: RootSystem, automorphism_order: int) -> SemisimpleTypeLabel:
-    """Type of the fixed subgroup of the standard diagram automorphism.
-
-    Only the generic-characteristic row of the folding table is produced:
-    A(2n-1) -> Cn, A(2n) -> Bn, Dn -> B(n-1), D4 with order 3 -> G2,
-    E6 -> F4.
-    """
-    st = rs.type
-    perm = _diagram_automorphism(st, automorphism_order)
-    if perm is None:
-        raise ValueError(f"{st} has no diagram automorphism of order {automorphism_order}")
-    rule = _FOLD_RULES.get((st.family, automorphism_order))
-    result = rule(st.rank)
-    orbits = _orbit_count(perm)
-    if orbits != result.rank:
-        raise AssertionError("folded rank does not match automorphism orbits")
-    return SemisimpleTypeLabel.of(result)
-
-
-def _diagram_automorphism(st: SimpleType, order: int):
-    n = st.rank
-    if st.family == "A" and order == 2 and n >= 2:
-        return tuple(n - 1 - i for i in range(n))
-    if st.family == "D" and order == 2 and n >= 3:
-        perm = list(range(n))
-        perm[n - 2], perm[n - 1] = perm[n - 1], perm[n - 2]
-        return tuple(perm)
-    if st == SimpleType("D", 4) and order == 3:
-        return (2, 1, 3, 0)
-    if st == SimpleType("E", 6) and order == 2:
-        return (5, 1, 4, 3, 2, 0)
-    return None
-
-
-def _orbit_count(perm) -> int:
-    seen = set()
-    count = 0
-    for i in range(len(perm)):
-        if i in seen:
-            continue
-        count += 1
-        j = i
-        while j not in seen:
-            seen.add(j)
-            j = perm[j]
-    return count

@@ -253,7 +253,7 @@ def identify_2group(vectors) -> TwoGroupType:
     return TwoGroupType(name, order, exponent, True)
 
 
-# -- classical centralizers and the irreducibility predicate ------------------
+# -- classical centralizers ---------------------------------------------------
 
 
 def classical_centralizer(block_dims, ambient: str) -> SemisimpleTypeLabel:
@@ -284,13 +284,3 @@ def classical_centralizer(block_dims, ambient: str) -> SemisimpleTypeLabel:
     for b in block_dims:
         factors.extend(orthogonal_factors(b))
     return SemisimpleTypeLabel.of(*factors)
-
-
-def classically_irreducible(summands) -> bool:
-    """True iff all summands are nondegenerate with pairwise distinct keys."""
-    keys = []
-    for _dim, nondegenerate, key in summands:
-        if not nondegenerate:
-            return False
-        keys.append(key)
-    return len(keys) == len(set(keys))

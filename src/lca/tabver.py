@@ -13,8 +13,9 @@ passes is itself reported).  The checks are:
   the printed centralizer, as an exact integer;
 * structural coherence: fusion counts, class labels, domination of each row
   by a maximal row, overgroup dimensions;
-* irreducibility certificates: restriction of the adjoint module along a
-  registered embedding chain has no trivial composition factor.
+* irreducibility certificates: restriction of the adjoint module along the
+  registered embedding chain that lands in the row's centralizer has no
+  trivial composition factor.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections import Counter
 from math import factorial
 from typing import NamedTuple
 
-from .embed import named_chain
+from .embed import chain_names, named_chain
 from .fixdim import ClassFusion, TraceTable, base_trace_table, fixed_point_dimension
 from .repth import adjoint_character, has_trivial_factor, restrict
 from .rootsys import ADJOINT_DIMENSION, SemisimpleTypeLabel, SimpleType, build_root_system, group_type
@@ -448,32 +449,6 @@ def audit_structure(ts: TableSet) -> AuditReport:
 
 # -- audit: irreducibility certificates -------------------------------------------
 
-# (group, F name, centralizer) -> registered chain
-_CERTIFICATE_CHAINS = {
-    ("E8", "Q8", "B2^3"): "b2^3",
-    ("E8", "2^{1+4}-", "B1^5"): "b1^5",
-    ("E8", "Dih6", "B4"): "b4",
-    ("E8", "G12", "~A1*A1*A3"): "a1a1a3",
-    ("E8", "Sym4x2", "~A1*A1^2"): "a1a1a1",
-    ("E8", "SL2(3)", "~A1*A2"): "a1a2",
-    ("E8", "3^2.Dih8", "A1^2"): "a1^2-3^2dih8",
-    ("E8", "Sym5", "A1"): "a1-sym5",
-    ("E8", "Q8", "~A1*D4"): "a1d4",
-    ("E8", "Dih8x2", "~A1^2*B1^2*B2"): "a1^2b1^2b2",
-    ("E8", "Frob20", "B2"): "b2-frob20",
-    ("E7", "Q8", "~A1*B1^4"): "a1b1^4",
-    ("E7", "Dih6", "A1*A3"): "b1a3",
-    ("E7", "Alt4", "A2"): "a2-alt4",
-    ("E7", "Sym4", "~A1*A1"): "a1b1-sym4",
-    ("E7", "2^2", "D4"): "d4",
-    ("E7", "Dih8", "~A1*B1^2*B2"): "a1b1^2b2",
-    ("F4", "2^3", "A1^4"): "a1^4",
-    ("F4", "Q8", "B1^3"): "b1^3",
-    ("F4", "Sym4", "A1"): "b1-sym4",
-    ("F4", "Dih8", "B1*B2"): "b1b2",
-    ("G2", "Dih6", "A1"): "b1",
-}
-
 # small-characteristic caveats recorded alongside a passing certificate
 _CERTIFICATE_NOTES = {
     ("E6", "2", "A1*A5"): "in characteristic 3 one trivial factor appears;"
@@ -489,44 +464,51 @@ def _normalize_rank_one(label: SemisimpleTypeLabel) -> str:
     return str(SemisimpleTypeLabel.of(*plain))
 
 
+def _chains_reaching(group: str, centralizer: SemisimpleTypeLabel) -> list:
+    """The group's registered chains whose source type is ``centralizer``, up to rank one."""
+    try:
+        names = chain_names(group)
+    except KeyError:
+        return []
+    want = _normalize_rank_one(centralizer)
+    return [
+        name
+        for name in names
+        if _normalize_rank_one(SemisimpleTypeLabel.parse(named_chain(group, name).source.label()))
+        == want
+    ]
+
+
 def audit_irreducibility_certificates(ts: TableSet) -> AuditReport:
     """No-trivial-composition-factor certificates for the maximal rows.
 
-    Full-rank centralizers pass outright; rows with a registered embedding
-    chain get a computed restriction of the adjoint module; everything else
-    is reported as not checked.
+    Full-rank centralizers pass outright.  Any other row is certified on the
+    one registered chain of its group whose source type is the row's
+    centralizer (B1 and C1 read as A1): the adjoint module is restricted
+    along it.  A row that no chain reaches is reported as not checked; a row
+    that several chains reach fails, naming them.
     """
     entries = []
     for row in ts.maximal_rows():
-        key = (row.group, row.f_name, str(row.centralizer))
-        note = _CERTIFICATE_NOTES.get(key, "")
+        note = _CERTIFICATE_NOTES.get((row.group, row.f_name, str(row.centralizer)), "")
         if row.centralizer.rank == group_type(row.group).rank:
             detail = "maximal rank, irreducible outright"
             if note:
                 detail += f"; {note}"
             entries.append(_check(row, "irreducibility", "pass", detail))
             continue
-        chain_name = _CERTIFICATE_CHAINS.get(key)
-        if chain_name is None:
+        names = _chains_reaching(row.group, row.centralizer)
+        if not names:
             entries.append(_check(row, "irreducibility", "not-checked", "no registered chain"))
             continue
-        emb = named_chain(row.group, chain_name)
-        if _normalize_rank_one(row.centralizer) != _normalize_rank_one(
-            SemisimpleTypeLabel.parse(emb.source.label())
-        ):
-            entries.append(
-                _check(
-                    row,
-                    "irreducibility",
-                    "fail",
-                    f"chain {chain_name} lands in {emb.source.label()}, row says {row.centralizer}",
-                )
-            )
+        if len(names) > 1:
+            detail = f"chains {', '.join(names)} all land in {row.centralizer}"
+            entries.append(_check(row, "irreducibility", "fail", detail))
             continue
         adj = adjoint_character(build_root_system(SimpleType.parse(row.group)))
-        trivial = has_trivial_factor(restrict(adj, emb))
+        trivial = has_trivial_factor(restrict(adj, named_chain(row.group, names[0])))
         status = "fail" if trivial else "pass"
-        detail = f"chain {chain_name}: restriction has {'a' if trivial else 'no'} trivial factor"
+        detail = f"chain {names[0]}: restriction has {'a' if trivial else 'no'} trivial factor"
         if note:
             detail += f"; {note}"
         entries.append(_check(row, "irreducibility", status, detail))

@@ -34,15 +34,22 @@ from .rootsys import (
     RootSystem,
     SemisimpleTypeLabel,
     classify_subdiagram,
-    fold,
     root_system,
 )
+
+# g_0 of each twisted affine diagram: E6^(2), D4^(2) and D4^(3)
+_FIXED_TYPES = {("E6", 2): "F4", ("D4", 2): "B3", ("D4", 3): "G2"}
 
 
 @lru_cache(maxsize=None)
 def fixed_subsystem(rs: RootSystem, twist: int) -> RootSystem:
     """g_0: g itself, or the fixed points of its diagram automorphism of order ``twist``."""
-    return rs if twist == 1 else root_system(str(fold(rs, twist)))
+    if twist == 1:
+        return rs
+    name = _FIXED_TYPES.get((rs.label(), twist))
+    if name is None:
+        raise ValueError(f"{rs.label()} has no twisted diagram of order {twist}")
+    return root_system(name)
 
 
 class KacCoordinates(

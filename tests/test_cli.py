@@ -80,6 +80,18 @@ def test_trace_names_its_group_canonically(capture):
         assert group_classes.cache_info().currsize == entries
 
 
+def test_only_table_groups_keep_their_classes(capture):
+    """A type named on the command line is enumerated per query, never kept."""
+    group_classes.cache_clear()
+    for n in range(1, 11):
+        assert capture("trace", f"A{n}", "2A")[0] == 2  # A_n names its classes 2?, 3?, ...
+    assert capture("trace", "D4", "2A") == (0, "-4\n", "")
+    assert group_classes.cache_info().currsize == 0
+    for group in ADJOINT_DIMENSION:
+        assert capture("torsion-enum", group)[0] == 0
+    assert group_classes.cache_info().currsize == 7
+
+
 def test_fixdim(capture):
     status, out, _ = capture("fixdim", "--group", "E8", "--fusion", "2B^15,3B^20,5A^24")
     assert status == 0 and out.strip() == "3"

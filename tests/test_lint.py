@@ -2,6 +2,7 @@
 
 import ast
 import glob
+import importlib
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -47,3 +48,26 @@ def test_no_lca_module_imports_dataclasses():
             if any(m.partition(".")[0] == "dataclasses" for m in modules):
                 importers.append(os.path.relpath(path, ROOT))
     assert importers == []
+
+
+def test_every_traced_boundary_resolves():
+    """Each function the benchmark's tracer wraps (``perfbench/tracer.py``) exists in lca.
+
+    The file is parsed, not imported, so the check leaves ``perfbench/`` untouched.
+    """
+    with open(os.path.join(ROOT, "perfbench", "tracer.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    (boundaries,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["BOUNDARIES"]
+    ]
+    missing = []
+    for modname, attrs in boundaries.items():
+        for attr in attrs:
+            target = importlib.import_module(f"lca.{modname}")
+            for part in attr.split("."):
+                target = getattr(target, part, None)
+            if not callable(target):
+                missing.append(f"lca.{modname}.{attr}")
+    assert boundaries and missing == []

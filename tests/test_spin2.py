@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from lca.spin2 import (
     SignVector,
     classical_centralizer,
-    classically_irreducible,
     eigen_partition,
     identify_2group,
     lift_commute,
@@ -155,17 +154,6 @@ def test_classical_centralizer():
         classical_centralizer([2, 14], "SO16")  # torus block
     with pytest.raises(ValueError):
         classical_centralizer([4, 6], "GL10")
-
-
-def test_classically_irreducible():
-    assert not classically_irreducible([(2, True, (1, 1))] * 3)  # repeated summand
-    assert not classically_irreducible(
-        [(5, True, (4,)), (3, True, (2,)), (3, True, (2,)), (3, True, "(2')"), (1, True, (0,)), (1, True, "(0')")]
-    )
-    assert classically_irreducible(
-        [(5, True, "a"), (5, True, "b"), (5, True, "c"), (1, True, "d")]
-    )
-    assert not classically_irreducible([(4, False, "x")])
 
 
 def test_group_order_matches_span_rank():

@@ -235,6 +235,38 @@ def test_certificates_cover_every_maximal_row(tables):
     assert len(by_status["pass"]) == 33
 
 
+def _certificate(tables, row):
+    """The one certificate entry of a table set whose only maximal row is ``row``."""
+    (entry,) = audit_irreducibility_certificates(tables._replace(rows={"maximal": (row,)})).entries
+    return entry
+
+
+def test_certificate_chain_is_found_by_type(monkeypatch, tables):
+    """A row certified on a chain is certified on the one chain that lands in its type."""
+    g2 = next(row for row in tables.maximal_rows() if row.group == "G2" and row.f_name == "Dih6")
+    entry = _certificate(tables, g2)
+    assert (entry.status, entry.detail) == ("pass", "chain b1: restriction has no trivial factor")
+
+    # a second chain reaching the same type makes the choice ambiguous
+    monkeypatch.setitem(embed._CHAINS, ("G2", "b1-copy"), embed._CHAINS["G2", "b1"])
+    entry = _certificate(tables, g2)
+    assert (entry.status, entry.detail) == ("fail", "chains b1, b1-copy all land in A1")
+
+
+@pytest.mark.parametrize(
+    "group, centralizer",
+    [("F4", "G2"), ("AutD4", "A1")],  # no F4 chain lands in G2; AutD4 has no chains
+)
+def test_certificate_without_a_reaching_chain_is_not_checked(tables, group, centralizer):
+    unreached = TableRow(
+        "maximal", 99, group, "Sym5", 120,
+        SemisimpleTypeLabel.parse(centralizer),
+        None, CharConstraint.parse(""), None, (),
+    )
+    entry = _certificate(tables, unreached)
+    assert (entry.status, entry.detail) == ("not-checked", "no registered chain")
+
+
 def test_load_errors(tmp_path):
     data = tmp_path / "data"
     data.mkdir()
