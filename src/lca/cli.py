@@ -7,6 +7,8 @@ stdout early: SIGPIPE kills it silently, and a shell sees status 141.
 
 Each lca module loads on first use: ``import lca.cli`` only registers it in
 ``sys.modules``, so ``branch`` runs just rootsys, linalg, repth and embed.
+A query that starts with its verb is parsed once, by that verb's own parser;
+the full grammar is built only for argv that does not, or that leaves a word over.
 """
 
 from __future__ import annotations
@@ -61,10 +63,16 @@ def _cmd_roots(args) -> int:
     return 0
 
 
+@cache
+def _table_groups() -> dict:
+    """Each table group by its lower-case name, built once per process."""
+    return {g.lower(): g for g in rootsys.ADJOINT_DIMENSION}
+
+
 def _table_group(text: str) -> str:
     """A table group named in any case and with surrounding spaces: e8, ' E8'
     and aute6 are E8 and AutE6, printed and cached once.  Other text is returned as is."""
-    return {g.lower(): g for g in rootsys.ADJOINT_DIMENSION}.get(text.strip().lower(), text)
+    return _table_groups().get(text.strip().lower(), text)
 
 
 def _group_name(text: str) -> str:
@@ -229,66 +237,70 @@ def positive_int(text: str) -> int:
     return value
 
 
+def _verbs() -> dict:
+    """verb -> (help, handler, {flag: add_argument options}[, exclusive]): each
+    verb's grammar, declared once for the full parser and for the verb's own."""
+    group = {"type": _table_group, "choices": sorted(rootsys.ADJOINT_DIMENSION)}
+    return {
+        "roots": ("root system summary", _cmd_roots, {"type": {}}),
+        "torsion-enum": ("elements with irreducible centralizer", _cmd_torsion_enum, {"type": {}}),
+        "trace": ("adjoint trace of a torsion class", _cmd_trace, {
+            "type": {}, "cls": {"metavar": "class"}, "--power": {"type": int, "default": 1}}),
+        "branch": ("restrict the adjoint module along a named chain", _cmd_branch, {
+            "group": {"type": _table_group}, "chain": {"nargs": "?"}}),
+        "fixdim": ("fixed-point dimension from class fusion", _cmd_fixdim, {
+            "--group": {"required": True, **group}, "--fusion": {"required": True}}),
+        "classify-2group": ("spin-lift 2-group type and centralizer", _cmd_classify_2group, {
+            "--n": {"type": positive_int, "required": True}, "vectors": {"nargs": "+"}}),
+        "classical-centralizer": ("Sp/SO block centralizer", _cmd_classical_centralizer, {
+            "--ambient": {"required": True}, "blocks": {"nargs": "+", "type": positive_int}}),
+        "solve-traces": ("trace table with provenance", _cmd_solve_traces, {"group": group}),
+        "verify": ("audit table rows", _cmd_verify, {
+            "--table": {}, "--all": {"action": "store_true"}}, True),
+    }
+
+
+def _declare(parser, handler, arguments, exclusive=False) -> argparse.ArgumentParser:
+    """``parser`` given one verb's arguments; ``exclusive`` options exclude each other."""
+    parser.add_argument("--json", action="store_true", help="emit JSON")
+    parser.set_defaults(func=handler)
+    target = parser.add_mutually_exclusive_group() if exclusive else parser
+    for flag, options in arguments.items():
+        target.add_argument(flag, **options)
+    return parser
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI grammar, built once per process; parsing leaves it unchanged."""
+    """The full CLI grammar, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lca",
         description="exact Lie-theoretic calculator and table auditor for finite"
         " subgroups with irreducible centralizers",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        p.set_defaults(func=func)
-        return p
-
-    p = add("roots", _cmd_roots, help="root system summary")
-    p.add_argument("type")
-
-    p = add("torsion-enum", _cmd_torsion_enum, help="elements with irreducible centralizer")
-    p.add_argument("type")
-
-    p = add("trace", _cmd_trace, help="adjoint trace of a torsion class")
-    p.add_argument("type")
-    p.add_argument("cls", metavar="class")
-    p.add_argument("--power", type=int, default=1)
-
-    p = add("branch", _cmd_branch, help="restrict the adjoint module along a named chain")
-    p.add_argument("group", type=_table_group)
-    p.add_argument("chain", nargs="?")
-
-    p = add("fixdim", _cmd_fixdim, help="fixed-point dimension from class fusion")
-    p.add_argument(
-        "--group", required=True, type=_table_group, choices=sorted(rootsys.ADJOINT_DIMENSION)
-    )
-    p.add_argument("--fusion", required=True)
-
-    p = add("classify-2group", _cmd_classify_2group, help="spin-lift 2-group type and centralizer")
-    p.add_argument("--n", type=positive_int, required=True)
-    p.add_argument("vectors", nargs="+")
-
-    p = add("classical-centralizer", _cmd_classical_centralizer, help="Sp/SO block centralizer")
-    p.add_argument("--ambient", required=True)
-    p.add_argument("blocks", nargs="+", type=positive_int)
-
-    p = add("solve-traces", _cmd_solve_traces, help="trace table with provenance")
-    p.add_argument("group", type=_table_group, choices=sorted(rootsys.ADJOINT_DIMENSION))
-
-    p = add("verify", _cmd_verify, help="audit table rows")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--table")
-    group.add_argument("--all", action="store_true")
-
+    for verb, (text, *grammar) in _verbs().items():
+        _declare(sub.add_parser(verb, help=text), *grammar)
     return parser
 
 
+@cache
+def _verb_parser(verb: str) -> argparse.ArgumentParser:
+    """One verb's grammar alone, as the full grammar's subparser for it; built on first use."""
+    return _declare(argparse.ArgumentParser(prog=f"lca {verb}"), *_verbs()[verb][1:])
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        try:  # a query that starts with its verb is parsed by that verb's parser alone
+            parser = _verb_parser(argv[0])
+        except (IndexError, KeyError):  # no argv, or no verb first: -h, an unknown verb
+            args = None
+        else:
+            args, extras = parser.parse_known_args(argv[1:])
+        if args is None or extras:  # the full grammar gives its own usage, help and errors
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -26,7 +26,7 @@ from collections import Counter
 from math import factorial
 from typing import NamedTuple
 
-from .embed import chain_names, named_chain
+from .embed import _CHAINS, named_chain
 from .fixdim import ClassFusion, TraceTable, base_trace_table, fixed_point_dimension
 from .repth import adjoint_character, has_trivial_factor, restrict
 from .rootsys import ADJOINT_DIMENSION, SemisimpleTypeLabel, SimpleType, build_root_system, group_type
@@ -464,19 +464,13 @@ def _normalize_rank_one(label: SemisimpleTypeLabel) -> str:
     return str(SemisimpleTypeLabel.of(*plain))
 
 
-def _chains_reaching(group: str, centralizer: SemisimpleTypeLabel) -> list:
-    """The group's registered chains whose source type is ``centralizer``, up to rank one."""
-    try:
-        names = chain_names(group)
-    except KeyError:
-        return []
-    want = _normalize_rank_one(centralizer)
-    return [
-        name
-        for name in names
-        if _normalize_rank_one(SemisimpleTypeLabel.parse(named_chain(group, name).source.label()))
-        == want
-    ]
+def _chains_by_source() -> dict:
+    """(group, source type) -> the registered chains from it, B1 and C1 read as A1."""
+    sources: dict = {}
+    for group, name in sorted(_CHAINS):
+        source = SemisimpleTypeLabel.parse(named_chain(group, name).source.label())
+        sources.setdefault((group, _normalize_rank_one(source)), []).append(name)
+    return sources
 
 
 def audit_irreducibility_certificates(ts: TableSet) -> AuditReport:
@@ -488,7 +482,7 @@ def audit_irreducibility_certificates(ts: TableSet) -> AuditReport:
     along it.  A row that no chain reaches is reported as not checked; a row
     that several chains reach fails, naming them.
     """
-    entries = []
+    entries, sources = [], _chains_by_source()
     for row in ts.maximal_rows():
         note = _CERTIFICATE_NOTES.get((row.group, row.f_name, str(row.centralizer)), "")
         if row.centralizer.rank == group_type(row.group).rank:
@@ -497,7 +491,7 @@ def audit_irreducibility_certificates(ts: TableSet) -> AuditReport:
                 detail += f"; {note}"
             entries.append(_check(row, "irreducibility", "pass", detail))
             continue
-        names = _chains_reaching(row.group, row.centralizer)
+        names = sources.get((row.group, _normalize_rank_one(row.centralizer)), [])
         if not names:
             entries.append(_check(row, "irreducibility", "not-checked", "no registered chain"))
             continue

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lca import torsion
-from lca.cli import build_parser, run
+from lca import cli
+from lca.cli import _table_groups, _verb_parser, build_parser, run
 from lca.embed import _CHAINS
 from lca.fixdim import ADJOINT_DIMENSION, group_classes, solve_traces
 from lca.repth import _freudenthal_multiplicities, adjoint_character
@@ -220,6 +221,7 @@ def test_usage_errors(capture):
          "argument blocks: must be positive, got 0"),
         (("classical-centralizer", "--ambient", "SO8", "-3", "11"),
          "argument blocks: must be positive, got -3"),
+        (("fixdim", "--group", "E8", "--fusion", "2A", "extra"), "unrecognized arguments: extra"),
     ]:
         status, out, err = capture(*argv)
         assert (status, out) == (2, "")
@@ -452,6 +454,38 @@ def test_a_fresh_audit_loads_neither_dataclasses_nor_inspect():
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (None, []),
+        (["branch", "E8", "b2^3", "--json"], ["lca branch"]),
+        (["verify", "--all", "--json"], ["lca verify"]),
+    ],
+    ids=["import", "branch", "verify"],
+)
+def test_a_fresh_query_builds_only_its_verb_parser(argv, built):
+    """Each ArgumentParser a fresh process constructs, by prog; the full grammar is ten."""
+    probe = (
+        "import argparse, contextlib, io\n"
+        "progs = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    init(self, *args, **kwargs)\n"
+        "    progs.append(self.prog)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "from lca.cli import run\n"
+        f"if {argv!r} is not None:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert run({argv!r}) == 0\n"
+        "print(progs)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_cli_env(), timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == repr(built)
+
+
 def test_table_group_verbs_take_any_case_and_spaces(capture):
     for canonical, spelled in (
         (("solve-traces", "AutE6"), ("solve-traces", " aute6")),
@@ -492,6 +526,8 @@ def _clear_process_caches():
     solve_traces.cache_clear()
     eigenvalue_profile.cache_clear()
     build_parser.cache_clear()
+    _verb_parser.cache_clear()
+    _table_groups.cache_clear()
     _classified.cache_clear()
     _freudenthal_multiplicities.cache_clear()
     adjoint_character.cache_clear()
@@ -630,11 +666,48 @@ ARGV = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(argv=ARGV)
-def test_every_argv_exits_0_1_or_2(argv):
+def _answer(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         status = run(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+def _full_grammar_answer(argv):
+    """The answer when every query is parsed by ``build_parser()`` alone."""
+    with mock.patch.object(cli, "_verb_parser", side_effect=KeyError):
+        return _answer(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=ARGV)
+def test_every_argv_exits_0_1_or_2(argv):
+    """Every drawn query exits 0, 1 or 2, writes to stderr exactly when it exits 2,
+    and answers byte for byte as parsing with the full grammar alone does."""
+    status, out, err = _answer(argv)
     assert status in (0, 1, 2)
-    assert (status == 2) == bool(err.getvalue()), err.getvalue()
+    assert (status == 2) == bool(err), err
+    assert _full_grammar_answer(argv) == (status, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--help"],
+        ["fixdim", "-h"],
+        ["--json", "fixdim", "--group", "E8", "--fusion", "2A"],
+        ["fixdim", "--group", "E8", "--fusion", "2A", "extra"],
+        ["no-such-verb", "E8"],
+        ["fixdim", "--group=E8", "--fusion", "2A"],
+        ["fixdim", "--gr", "E8", "--fusion", "2A"],
+        ["fixdim", "--", "--group"],
+    ],
+    ids=[
+        "no-argv", "-h", "--help", "verb-help", "option-before-verb", "extra-word",
+        "unknown-verb", "option=value", "abbreviated-option", "double-dash",
+    ],
+)
+def test_dispatch_answers_as_the_full_grammar(argv):
+    assert _answer(argv) == _full_grammar_answer(argv)

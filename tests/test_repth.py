@@ -1,14 +1,20 @@
+from functools import cache, reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lca.embed import (
+    _CHAINS,
     extended_deletion,
+    identity_embedding,
     named_chain,
+    product_embedding,
     so_sum_embedding,
 )
 from lca.repth import (
     Character,
+    Embedding,
     adjoint_character,
     dominant_character,
     factor_dimensions,
@@ -297,6 +303,39 @@ def test_restricted_characters_are_weyl_stable():
         emb = named_chain(group, chain)
         restricted = restrict(adjoint_character(root_system(group)), emb)
         assert is_weyl_stable(restricted), (group, chain)
+
+
+@cache
+def _chain_steps(key):
+    """The embedding each step of a registered chain composes, from its group inward."""
+    emb = identity_embedding(root_system(key[0]))
+    steps = []
+    for step in _CHAINS[key]:
+        if isinstance(step[0], int):
+            index, make, *args = step
+            inner = [identity_embedding(f) for f in emb.source.factors]
+            inner[index] = make(emb.source.factors[index], *args)
+            step = product_embedding(inner)
+        else:
+            make, *args = step
+            step = make(emb.source, *args)
+        steps.append(step)
+        emb = emb.then(step)
+    assert emb.matrix == named_chain(*key).matrix
+    return steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.sampled_from(sorted(k for k, steps in _CHAINS.items() if len(steps) > 1)), data=st.data())
+def test_restricting_in_two_steps_equals_restricting_along_their_composite(key, data):
+    """restrict(restrict(c, a), b) == restrict(c, a.then(b)), with a and b runs of
+    consecutive chain steps and c the adjoint character restricted to a's target."""
+    steps = _chain_steps(key)
+    cuts = st.lists(st.integers(0, len(steps)), min_size=3, max_size=3, unique=True)
+    i, j, k = sorted(data.draw(cuts))
+    char = reduce(restrict, steps[:i], adjoint_character(root_system(key[0])))
+    a, b = reduce(Embedding.then, steps[i:j]), reduce(Embedding.then, steps[j:k])
+    assert restrict(restrict(char, a), b) == restrict(char, a.then(b))
 
 
 def test_spin_module_stepwise_restrictions():
