@@ -84,12 +84,10 @@ def _group_name(text: str) -> str:
 def _cmd_torsion_enum(args) -> int:
     group = _group_name(args.type)
     classes = fixdim.classes_of(group)
-    annotations = {
-        label: cls.annotation for (g, label), cls in tabver.load_elements().items() if g == group
-    }
+    annotations = tabver.element_annotations(tabver.data_dir())
     if args.json:
         payload = [
-            {**c.to_json(), "component_annotation": annotations.get(c.name, "")}
+            {**c.to_json(), "component_annotation": annotations.get((group, c.name), "")}
             for c in classes
         ]
         return _emit_json({"group": group, "classes": payload})
@@ -97,7 +95,7 @@ def _cmd_torsion_enum(args) -> int:
     print("|---|---|---|---|---|")
     for c in classes:
         labels = ",".join(map(str, c.kac.labels))
-        cent = f"{c.centralizer}{annotations.get(c.name, '')}"
+        cent = f"{c.centralizer}{annotations.get((group, c.name), '')}"
         print(f"| {c.name} | {c.order} | ({labels}) | {cent} | {c.trace} |")
     return 0
 

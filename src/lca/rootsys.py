@@ -15,7 +15,7 @@ adjoint dimensions are named here too.
 
 from __future__ import annotations
 
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 from typing import NamedTuple
@@ -101,7 +101,7 @@ def orthogonal_factors(dim: int) -> tuple[SimpleType, ...]:
     return (SimpleType("B" if dim % 2 else "D", dim // 2),)
 
 
-@cache
+@lru_cache(maxsize=64)
 def cartan_matrix(st: SimpleType) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix A with A[i][j] = <alpha_i, alpha_j-coroot>."""
     n = st.rank
@@ -320,13 +320,19 @@ class RootSystem:
     def factors(self):
         return (self,)
 
+    def __eq__(self, other):  # a system rebuilt after its cache entry was evicted
+        return isinstance(other, RootSystem) and self.type == other.type
+
+    def __hash__(self):
+        return hash(self.type)
+
     def __repr__(self):
         return f"RootSystem({self.type})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def build_root_system(st: SimpleType) -> RootSystem:
-    """Construct (once) the root system of a simple type."""
+    """The root system of a simple type; the 32 last used are kept (the audit uses 23)."""
     return RootSystem(st)
 
 
@@ -485,7 +491,7 @@ def classify_subdiagram(rs: RootSystem, nodes):
     return list(_classified(rs, tuple(nodes)))
 
 
-@cache
+@lru_cache(maxsize=64)
 def _classified(rs: RootSystem, nodes: tuple) -> tuple:
     keys = sorted(k for k, _ in nodes)
     norm = {k: rs.root_norm(c) for k, c in nodes}

@@ -5,7 +5,8 @@ entries.  Its spin lift squares to the centre unless the -1-eigenspace
 dimension is divisible by 4, and two lifts commute exactly when their
 supports meet evenly.  Groups generated by lifts are built explicitly in
 the Clifford algebra (elements are (support mask, sign) pairs) and matched
-against a catalogue of the named 2-group types.
+against a catalogue of the named 2-group types.  "Abelian" and "centre" are
+tested against the generators, not against every pair of elements.
 """
 
 from __future__ import annotations
@@ -153,20 +154,17 @@ def _lift(v: SignVector):
 
 
 def _clifford_mul(a, b):
+    """e_A e_B = +-e_{A^B}, minus iff popcount(P(A) & B) is odd.  Bit j of P(A) (``above``,
+    a prefix XOR of A >> 1 by doubling shifts) is the parity of the bits of A above j."""
     mask, sign = a
     bmask, bsign = b
-    sign *= bsign
-    t = 0
-    rest = bmask
-    while rest:
-        low = rest & -rest
-        t = low.bit_length() - 1
-        rest ^= low
-        higher = mask >> (t + 1)
-        if higher.bit_count() % 2:
-            sign = -sign
-        mask ^= low
-    return (mask, sign)
+    above, shift, width = mask >> 1, 1, mask.bit_length()
+    while shift < width:
+        above ^= above >> shift
+        shift <<= 1
+    if (above & bmask).bit_count() % 2:
+        sign = -sign
+    return (mask ^ bmask, sign * bsign)
 
 
 def _close_group(generators, limit: int = 4096):
@@ -218,6 +216,17 @@ _CATALOGUE = {
 }
 
 
+def _invariants(gens) -> tuple:
+    """(order, exponent, abelian, order histogram, centre size) of the group ``gens`` generate:
+    G is abelian iff its generators commute, and Z(G) is what commutes with every generator."""
+    elements = _close_group(gens)
+    orders = sorted(_element_order(x) for x in elements)
+    hist = tuple((k, orders.count(k)) for k in sorted(set(orders)) if k > 1)
+    abelian = all(_clifford_mul(g, h) == _clifford_mul(h, g) for g in gens for h in gens)
+    centre = sum(all(_clifford_mul(x, g) == _clifford_mul(g, x) for g in gens) for x in elements)
+    return len(elements), orders[-1], abelian, hist, centre
+
+
 def identify_2group(vectors) -> TwoGroupType:
     """Abstract type of the group generated by the spin lifts of the vectors.
 
@@ -227,26 +236,11 @@ def identify_2group(vectors) -> TwoGroupType:
     """
     if vectors and any(v.n != vectors[0].n for v in vectors):
         raise ValueError("mixed sign-vector lengths")
-    gens = [_lift(v) for v in vectors]
-    elements = _close_group(gens)
-    order = len(elements)
-    orders = sorted(_element_order(x) for x in elements)
-    exponent = orders[-1]
-    hist = tuple(
-        (k, sum(1 for o in orders if o == k)) for k in sorted(set(orders)) if k > 1
-    )
-    abelian = all(
-        _clifford_mul(x, y) == _clifford_mul(y, x) for x in elements for y in elements
-    )
+    order, exponent, abelian, hist, centre = _invariants([_lift(v) for v in vectors])
     if abelian and exponent <= 2:
         k = order.bit_length() - 1
         name = "1" if order == 1 else ("2" if k == 1 else f"2^{k}")
         return TwoGroupType(name, order, exponent, True)
-    centre = sum(
-        1
-        for x in elements
-        if all(_clifford_mul(x, y) == _clifford_mul(y, x) for y in elements)
-    )
     name = _CATALOGUE.get((order, abelian, hist, centre))
     if name is None:
         return TwoGroupType(f"unrecognized[{order},exp{exponent}]", order, exponent, False)

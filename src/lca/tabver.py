@@ -23,7 +23,9 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
+from functools import cache
 from math import factorial
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .embed import _CHAINS, named_chain
@@ -294,6 +296,12 @@ def load_elements(directory: str | None = None) -> dict:
             raise _parse_error(path, lineno, "class", f"label {label} does not match order {order}")
         out[(group, label)] = ElementClass(group, label, order, cent, annotation, constraint)
     return out
+
+
+@cache
+def element_annotations(directory: str) -> MappingProxyType:
+    """(group, class label) -> component annotation, read once per process and directory."""
+    return MappingProxyType({key: cls.annotation for key, cls in load_elements(directory).items()})
 
 
 def load_tables(directory: str | None = None) -> TableSet:

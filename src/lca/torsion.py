@@ -41,11 +41,13 @@ from .rootsys import (
 _FIXED_TYPES = {("E6", 2): "F4", ("D4", 2): "B3", ("D4", 3): "G2"}
 
 
-@lru_cache(maxsize=None)
 def fixed_subsystem(rs: RootSystem, twist: int) -> RootSystem:
     """g_0: g itself, or the fixed points of its diagram automorphism of order ``twist``."""
-    if twist == 1:
-        return rs
+    return rs if twist == 1 else _twisted_fixed_subsystem(rs, twist)
+
+
+@cache  # an error is not kept, so this holds at most the entries of _FIXED_TYPES
+def _twisted_fixed_subsystem(rs: RootSystem, twist: int) -> RootSystem:
     name = _FIXED_TYPES.get((rs.label(), twist))
     if name is None:
         raise ValueError(f"{rs.label()} has no twisted diagram of order {twist}")
@@ -112,7 +114,7 @@ def single_node(rs: RootSystem, node: int, twist: int = 1) -> KacCoordinates:
     return KacCoordinates(rs, labels, twist)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def graded_weights(rs: RootSystem, twist: int = 1) -> tuple:
     """The weights of g over g_0 as (j, root coordinates), one pair per weight.
 
@@ -142,7 +144,7 @@ class EigenvalueProfile(NamedTuple):
         return sum(self.counts)
 
 
-@cache
+@lru_cache(maxsize=64)
 def eigenvalue_profile(kac: KacCoordinates) -> EigenvalueProfile:
     m, k = kac.order, kac.twist
     s = kac.labels[1:]

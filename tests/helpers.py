@@ -263,3 +263,23 @@ def is_weyl_stable(char) -> bool:
             if table.get(v, 0) != m:
                 return False
     return True
+
+
+def clifford_mul_reference(a, b):
+    """e_A e_B in the Clifford group on (mask, sign) pairs, one bit of B at a time.
+
+    Moving e_t (t in B, ascending) left past the bits of A above t flips the
+    sign once per such bit; the bits of B below t have already been merged.
+    """
+    mask, sign = a
+    bmask, bsign = b
+    sign *= bsign
+    rest = bmask
+    while rest:
+        low = rest & -rest
+        t = low.bit_length() - 1
+        rest ^= low
+        if (mask >> (t + 1)).bit_count() % 2:
+            sign = -sign
+        mask ^= low
+    return (mask, sign)

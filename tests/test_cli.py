@@ -15,15 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lca import torsion
-from lca import cli
+from lca import cli, tabver, torsion
 from lca.cli import _table_groups, _verb_parser, build_parser, run
 from lca.embed import _CHAINS
 from lca.fixdim import ADJOINT_DIMENSION, group_classes, solve_traces
 from lca.repth import _freudenthal_multiplicities, adjoint_character
-from lca.rootsys import _classified, is_admissible
-from lca.tabver import AUDITED_TABLES, TABLE_ALIASES, load_elements
-from lca.torsion import adjoint_trace, eigenvalue_profile
+from lca.rootsys import SimpleType, _classified, build_root_system, cartan_matrix, is_admissible
+from lca.tabver import (
+    AUDITED_TABLES, TABLE_ALIASES, _read_table, element_annotations, load_elements
+)
+from lca.torsion import (
+    _FIXED_TYPES, _twisted_fixed_subsystem, adjoint_trace, eigenvalue_profile, graded_weights
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -91,6 +94,42 @@ def test_only_table_groups_keep_their_classes(capture):
     for group in ADJOINT_DIMENSION:
         assert capture("torsion-enum", group)[0] == 0
     assert group_classes.cache_info().currsize == 7
+
+
+PER_TYPE_CACHES = (build_root_system, cartan_matrix, _classified, eigenvalue_profile, graded_weights)
+
+
+def test_per_type_caches_hold_the_working_set_and_stay_bounded(capture):
+    """The audit's and the calculator's entries all fit; types named on the
+    command line beyond them evict the least recently used."""
+    _clear_process_caches()
+    for cached in PER_TYPE_CACHES:
+        cached.cache_clear()
+    assert capture("verify", "--all", "--json")[0] == 0
+    for group in ADJOINT_DIMENSION:
+        assert capture("torsion-enum", group, "--json")[0] == 0
+        assert capture("solve-traces", group)[0] == 0
+        for c in group_classes(group):
+            for power in range(1, c.order + 1):
+                assert capture("trace", group, c.name, "--power", str(power))[0] == 0
+    for cached in PER_TYPE_CACHES:
+        info = cached.cache_info()
+        assert info.misses == info.currsize, cached.__wrapped__  # nothing evicted
+    for name in [f"B{n}" for n in range(2, 12)] + [f"C{n}" for n in range(3, 9)]:
+        assert capture("trace", name, "2?")[0] == 0  # classical types name their classes 2?, ...
+        assert capture("torsion-enum", name)[0] == 0
+    for cached in PER_TYPE_CACHES:
+        info = cached.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize, cached.__wrapped__
+    assert _twisted_fixed_subsystem.cache_info().currsize <= len(_FIXED_TYPES)
+
+
+def test_a_rebuilt_root_system_equals_the_evicted_one():
+    old = build_root_system(SimpleType.parse("E8"))
+    build_root_system.cache_clear()
+    new = build_root_system(SimpleType.parse("E8"))
+    assert new is not old and new == old and hash(new) == hash(old)
+    assert new != build_root_system(SimpleType.parse("E7"))
 
 
 def test_fixdim(capture):
@@ -177,6 +216,38 @@ def test_torsion_enum_reads_only_the_elements_table(tmp_path, monkeypatch, captu
     status, out, err = capture("torsion-enum", "G2", "--json")
     assert (status, err) == (0, "")
     assert [c["class"] for c in json.loads(out)["classes"]] == ["2A", "3A"]
+
+
+def test_torsion_enum_reads_the_elements_table_once_per_directory(tmp_path, monkeypatch, capture):
+    """Three queries read the file once; another LCA_DATA_DIR is read afresh, and a
+    malformed file fails with its located error on every query."""
+    element_annotations.cache_clear()
+    reads = Counter()
+
+    def counted(path, fields):
+        reads[os.path.basename(path)] += 1
+        return _read_table(path, fields)
+
+    monkeypatch.setattr(tabver, "_read_table", counted)
+    answers = [capture("torsion-enum", "E7", "--json") for _ in range(3)]
+    assert reads == {"table_elements.txt": 1}
+    assert answers[0] == answers[1] == answers[2] and answers[0][0] == 0
+    assert '"component_annotation": ".2"' in answers[0][1]
+    edited, malformed = tmp_path / "edited", tmp_path / "malformed"
+    for directory, new in ((edited, "E7|2B|2|A7|.4|"), (malformed, "E7|2B|two|A7|.2|")):
+        directory.mkdir()
+        text = open(os.path.join(DATA, "table_elements.txt")).read()
+        (directory / "table_elements.txt").write_text(text.replace("E7|2B|2|A7|.2|", new))
+    monkeypatch.setenv("LCA_DATA_DIR", str(edited))
+    status, out, _ = capture("torsion-enum", "E7")
+    assert status == 0 and "| A7.4 | -7 |" in out
+    monkeypatch.setenv("LCA_DATA_DIR", str(malformed))
+    for _ in range(2):
+        assert capture("torsion-enum", "E7") == (
+            2, "", "error: table_elements.txt line 16: field order: invalid literal for int()"
+            " with base 10: 'two'\n"
+        )
+    assert reads == {"table_elements.txt": 4}
 
 
 def test_verify_exit_codes(capture):
@@ -520,6 +591,14 @@ FUSIONS = {
     "AutD4": "2A,2B,2C",
 }
 
+# generators in SO16 of Q8, 2^{1+4}-, an unrecognized abelian group and 2^2
+SIGN_VECTOR_SETS = (
+    ("(-1^6,1^10)", "(-1^3,1^3,-1^3,1^7)"),
+    ("(-1^6,1^10)", "(1^6,-1^4,1^6)", "(1^6,-1,1^3,-1^3,1^3)", "(-1^3,1^3,-1,1^9)", "--json"),
+    ("(-1^2,1^14)", "(1^2,-1^4,1^10)", "(1^6,-1^4,1^6)"),
+    ("(-1^8,1^8)", "(-1^4,1^4,1^8)", "--json"),
+)
+
 
 def _clear_process_caches():
     group_classes.cache_clear()
@@ -528,6 +607,7 @@ def _clear_process_caches():
     build_parser.cache_clear()
     _verb_parser.cache_clear()
     _table_groups.cache_clear()
+    element_annotations.cache_clear()
     _classified.cache_clear()
     _freudenthal_multiplicities.cache_clear()
     adjoint_character.cache_clear()
@@ -548,6 +628,9 @@ def test_answers_in_one_process_equal_fresh_answers(capture):
         for power in range(c.order + 1)
     ]
     argvs += [["torsion-enum", g, "--json"] for g in FUSIONS]
+    argvs += [["classify-2group", "--n", "16", *vectors] for vectors in SIGN_VECTOR_SETS]
+    argvs += [["classical-centralizer", "--ambient", "SO16", "3", "3", "9"],
+              ["classical-centralizer", "--ambient", "Sp10", "4", "6", "--json"]]
     fresh = []
     for argv in argvs:
         _clear_process_caches()

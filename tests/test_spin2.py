@@ -1,9 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import clifford_mul_reference
 from lca.spin2 import (
     SignVector,
+    _clifford_mul,
+    _invariants,
+    _lift,
     classical_centralizer,
     eigen_partition,
     identify_2group,
@@ -157,8 +163,6 @@ def test_classical_centralizer():
 
 
 def test_group_order_matches_span_rank():
-    import random
-
     rng = random.Random(77)
     for _ in range(120):
         n = rng.choice([8, 12, 16])
@@ -194,3 +198,47 @@ def test_so9_four_four_one_blocks():
     assert str(result.label) == "A1^4"
     assert result.dropped == 1 and not result.has_torus_block
     assert str(identify_2group([u, v])) == "2^2"
+
+
+def test_clifford_mul_equals_the_bit_loop():
+    rng = random.Random(21)
+    for _ in range(20000):
+        a, b = ((rng.getrandbits(rng.randrange(81)), rng.choice((1, -1))) for _ in range(2))
+        assert _clifford_mul(a, b) == clifford_mul_reference(a, b), (a, b)
+
+
+def _all_pairs_invariants(gens):
+    """(order, exponent, abelian, order histogram, centre size), every pair of elements tested."""
+    mul = clifford_mul_reference
+    elements, frontier = {(0, 1)}, [(0, 1)]
+    while frontier:
+        frontier = [y for x in frontier for g in gens if (y := mul(x, g)) not in elements]
+        elements.update(frontier)
+    orders = []
+    for x in elements:
+        power, order = x, 1
+        while power != (0, 1):
+            power, order = mul(power, x), order + 1
+        orders.append(order)
+    commute = {(x, y): mul(x, y) == mul(y, x) for x in elements for y in elements}
+    centre = [x for x in elements if all(commute[x, y] for y in elements)]
+    hist = tuple(sorted((k, orders.count(k)) for k in set(orders) if k > 1))
+    return len(elements), max(orders), all(commute.values()), hist, len(centre)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=20).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n), max_size=5
+        )
+    )
+)
+def test_generator_invariants_equal_all_pairs(sign_lists):
+    """Abelian and centre tested on the generators agree with every pair tested."""
+    gens = []
+    for signs in sign_lists:
+        if signs.count(-1) % 2:
+            signs[0] = -signs[0]
+        gens.append(_lift(SignVector(len(signs), tuple(signs))))
+    assert _invariants(gens) == _all_pairs_invariants(gens)
