@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import signal
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 
 def _lazy(name: str):
@@ -39,9 +39,34 @@ embed, fixdim, repth, rootsys, spin2, tabver, torsion = map(
 SCHEMA_VERSION = 1
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it, for str, int,
+    bool, None, list and str-keyed dict; anything else, a float too, is a TypeError.  Unlike
+    the indenting encoder, a call builds no closures, so it leaves no garbage cycle."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, list):
+        brackets, items = "[]", [_json_text(v, inner) for v in value]
+    elif isinstance(value, dict):
+        # encode_basestring_ascii raises the TypeError for a key that is not a str
+        brackets, items = "{}", [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                                 for k, v in sorted(value.items())]
+    else:
+        raise TypeError(f"cannot emit {type(value).__name__} as JSON")
+    if not items:
+        return brackets
+    return brackets[0] + inner + f",{inner}".join(items) + newline + brackets[1]
+
+
 def _emit_json(payload) -> int:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(_json_text({"schema_version": SCHEMA_VERSION, **payload}))
     return 0
 
 
@@ -221,7 +246,7 @@ def _cmd_verify(args) -> int:
         tables = (name,)
     report = tabver.run_full_audit(tabver.load_tables(), tables)
     if args.json:
-        print(report.to_json(), end="")
+        _emit_json({"ok": report.ok, "entries": [e._asdict() for e in report.entries]})
     else:
         print(report.to_markdown(), end="")
     return 0 if report.ok else 1

@@ -3,15 +3,16 @@
 A sign vector is a diagonal involution of SO_n with an even number of -1
 entries.  Its spin lift squares to the centre unless the -1-eigenspace
 dimension is divisible by 4, and two lifts commute exactly when their
-supports meet evenly.  Groups generated by lifts are built explicitly in
-the Clifford algebra (elements are (support mask, sign) pairs) and matched
-against a catalogue of the named 2-group types.  "Abelian" and "centre" are
-tested against the generators, not against every pair of elements.
+supports meet evenly.  A group generated by lifts (Clifford-group elements,
+(support mask, sign) pairs) is matched against a catalogue of the named
+2-group types by invariants read off the GF(2) span of its generators'
+masks, with no product taken except over a dependency among the masks.
 """
 
 from __future__ import annotations
 
 import re
+from functools import reduce
 from typing import NamedTuple
 
 from .rootsys import SemisimpleTypeLabel, SimpleType, orthogonal_factors
@@ -143,7 +144,7 @@ def lift_commute(u: SignVector, v: SignVector) -> bool:
     return len(u.support & v.support) % 2 == 0
 
 
-# -- explicit Clifford-group construction -------------------------------------
+# -- the Clifford group on (mask, sign) pairs ----------------------------------
 
 
 def _lift(v: SignVector):
@@ -165,32 +166,6 @@ def _clifford_mul(a, b):
     if (above & bmask).bit_count() % 2:
         sign = -sign
     return (mask ^ bmask, sign * bsign)
-
-
-def _close_group(generators, limit: int = 4096):
-    elements = {(0, 1)}
-    frontier = [(0, 1)]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in generators:
-                y = _clifford_mul(x, g)
-                if y not in elements:
-                    elements.add(y)
-                    nxt.append(y)
-                    if len(elements) > limit:
-                        raise ValueError("generated group is unexpectedly large")
-        frontier = nxt
-    return elements
-
-
-def _element_order(x):
-    order = 1
-    y = x
-    while y != (0, 1):
-        y = _clifford_mul(y, x)
-        order += 1
-    return order
 
 
 class TwoGroupType(NamedTuple):
@@ -217,22 +192,47 @@ _CATALOGUE = {
 
 
 def _invariants(gens) -> tuple:
-    """(order, exponent, abelian, order histogram, centre size) of the group ``gens`` generate:
-    G is abelian iff its generators commute, and Z(G) is what commutes with every generator."""
-    elements = _close_group(gens)
-    orders = sorted(_element_order(x) for x in elements)
-    hist = tuple((k, orders.count(k)) for k in sorted(set(orders)) if k > 1)
-    abelian = all(_clifford_mul(g, h) == _clifford_mul(h, g) for g in gens for h in gens)
-    centre = sum(all(_clifford_mul(x, g) == _clifford_mul(g, x) for g in gens) for x in elements)
-    return len(elements), orders[-1], abelian, hist, centre
+    """(order, exponent, abelian, order histogram, centre size) of the group G ``gens`` generate,
+    read off the GF(2) span V of their masks without closing G under products.
+
+    G maps onto V with kernel G & {+-1}: it holds one lift of each mask in V, or both when -1
+    is in G, that is when a generator squares to -1, two generators anticommute, or the product
+    over a dependency among the masks has sign -1 (the only products taken).  (A, s) commutes
+    with a generator iff A meets its mask evenly; if not the identity, it has order 2 iff
+    |A| = 0 mod 4, else 4.
+    """
+    masks = [mask for mask, _ in gens]
+    abelian = all((a & b).bit_count() % 2 == 0 for a in masks for b in masks)
+    minus = not abelian or any(mask.bit_count() % 4 for mask in masks)
+    basis = []  # (reduced mask, bit set of the generators it sums)
+    for i, mask in enumerate(masks):
+        used = 1 << i
+        for b, b_used in basis:
+            if mask ^ b < mask:
+                mask, used = mask ^ b, used ^ b_used
+        if mask:
+            basis.append((mask, used))
+        elif not minus:  # commuting generators: the dependency's product is +-1 in any order
+            minus = reduce(_clifford_mul, [g for j, g in enumerate(gens) if used >> j & 1])[1] < 0
+    order = 2 ** len(basis) << minus
+    if order > 4096:
+        raise ValueError("generated group is unexpectedly large")
+    span = [0]
+    for b, _ in basis:
+        span += [a ^ b for a in span]
+    fours = sum(a.bit_count() % 4 == 2 for a in span) << minus
+    twos = order - 1 - fours
+    hist = tuple((k, count) for k, count in ((2, twos), (4, fours)) if count)
+    centre = sum(all((a & mask).bit_count() % 2 == 0 for mask in masks) for a in span) << minus
+    return order, 4 if fours else 2 if twos else 1, abelian, hist, centre
 
 
 def identify_2group(vectors) -> TwoGroupType:
     """Abstract type of the group generated by the spin lifts of the vectors.
 
-    The group is built explicitly on its (mask, sign) elements; the named
-    types are recognized by order data and centre size, anything else comes
-    back with ``recognized=False``.
+    The named types are recognized by order data and centre size, read off
+    the generators' masks (``_invariants``); anything else comes back with
+    ``recognized=False``.
     """
     if vectors and any(v.n != vectors[0].n for v in vectors):
         raise ValueError("mixed sign-vector lengths")

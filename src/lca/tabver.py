@@ -20,7 +20,6 @@ passes is itself reported).  The checks are:
 
 from __future__ import annotations
 
-import json
 import os
 from collections import Counter
 from functools import cache
@@ -351,14 +350,6 @@ class AuditReport(NamedTuple):
         counts = Counter(e.status for e in self.entries)
         summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
         return "\n".join(lines + ["", f"summary: {summary}", f"ok: {self.ok}"]) + "\n"
-
-    def to_json(self) -> str:
-        payload = {
-            "schema_version": 1,
-            "ok": self.ok,
-            "entries": [e._asdict() for e in self.entries],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _check(row, check, status, detail=""):

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -450,6 +451,27 @@ def test_verify_all_json_matches_golden(capture):
     assert capture("verify", "--all", "--json") == (0, frozen, "")
 
 
+JSON_STRINGS = st.text() | st.text(st.sampled_from('a "\\/\x00\x1f\x7f\u00e9\u2028\u2029\U0001f600'))
+JSON_VALUES = st.recursive(
+    JSON_STRINGS | st.integers() | st.integers(-2**70, 2**70) | st.booleans() | st.none()
+    | st.just([]) | st.just({}),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_emitter_writes_what_the_stdlib_encoder_writes(value):
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1, 2}, (1, 2), {1: "a"}, {"a": 1, 2: "b"}])
+def test_emitter_refuses_what_no_answer_holds(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
 def test_missing_table_files_are_an_error(tmp_path, monkeypatch, capture):
     monkeypatch.setenv("LCA_DATA_DIR", str(tmp_path))
     status, out, err = capture("verify", "--all")
@@ -611,6 +633,36 @@ def _clear_process_caches():
     _classified.cache_clear()
     _freudenthal_multiplicities.cache_clear()
     adjoint_character.cache_clear()
+
+
+GC_QUERIES = [
+    ["roots", "E8"],
+    ["torsion-enum", "E7"],
+    ["trace", "AutE6", "2B", "--power", "2"],
+    ["branch", "E8", "b2^3"],
+    ["fixdim", "--group", "E8", "--fusion", FUSIONS["E8"]],
+    ["classify-2group", "--n", "16", *SIGN_VECTOR_SETS[1][:-1]],
+    ["classical-centralizer", "--ambient", "Sp10", "4", "6"],
+    ["solve-traces", "AutE6"],
+    ["verify", "--all"],
+]
+
+
+@pytest.mark.parametrize("argv", GC_QUERIES, ids=lambda argv: argv[0])
+def test_warm_json_answers_leave_no_cyclic_garbage(argv):
+    """An answer leaves nothing that only the cyclic collector can free, whose full
+    passes set the warm calculator's tail (the indenting json encoder left 33 objects)."""
+    with redirect_stdout(io.StringIO()):
+        assert run([*argv, "--json"]) in (0, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            with redirect_stdout(io.StringIO()):
+                run([*argv, "--json"])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_answers_in_one_process_equal_fresh_answers(capture):

@@ -242,3 +242,19 @@ def test_generator_invariants_equal_all_pairs(sign_lists):
             signs[0] = -signs[0]
         gens.append(_lift(SignVector(len(signs), tuple(signs))))
     assert _invariants(gens) == _all_pairs_invariants(gens)
+
+
+@pytest.mark.parametrize(
+    "vectors, order",
+    [
+        # e_{0123} e_{2345} = -e_{0145}: the dependency's product puts -1 in the group
+        (["(-1^4,1^4)", "(1^2,-1^4,1^2)", "(-1^2,1^2,-1^2,1^2)"], 8),
+        # e_{0123} e_{4567} = +e_{01234567}: the span alone is the group
+        (["(-1^4,1^4)", "(1^4,-1^4)", "(-1^8)"], 4),
+    ],
+)
+def test_a_dependency_among_commuting_involutions_fixes_the_order(vectors, order):
+    gens = [_lift(V(v)) for v in vectors]
+    assert _invariants(gens) == _all_pairs_invariants(gens)
+    group = identify_2group([V(v) for v in vectors])
+    assert (str(group), group.order) == (f"2^{order.bit_length() - 1}", order)

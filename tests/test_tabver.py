@@ -118,7 +118,7 @@ def test_flagged_rows_fail_when_flags_stripped(tables):
 def test_audit_reports_are_byte_stable(tables, report):
     again = run_full_audit(load_tables())
     assert again.to_markdown() == report.to_markdown()
-    assert again.to_json() == report.to_json()
+    assert again.entries == report.entries
 
 
 def test_every_trace_used_by_a_passing_row(tables, report):
