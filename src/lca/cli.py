@@ -7,18 +7,22 @@ stdout early: SIGPIPE kills it silently, and a shell sees status 141.
 
 Each lca module loads on first use: ``import lca.cli`` only registers it in
 ``sys.modules``, so ``branch`` runs just rootsys, linalg, repth and embed.
-A query that starts with its verb is parsed once, by that verb's own parser;
-the full grammar is built only for argv that does not, or that leaves a word over.
+A query in plain form (the verb first, exact options each given once, one run
+of positional words, every type and choice met) is read straight from the verb
+table by ``_plain_args``, without argparse; it is the calculator's and the
+benchmark's every query.  Any other argv, help and every usage error included,
+goes to the full argparse grammar, imported and built only then, so argparse
+writes all help, usage and error text.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import signal
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 
 def _lazy(name: str):
@@ -256,13 +260,16 @@ def positive_int(text: str) -> int:
     """A size on the command line; argparse names the argument in any error."""
     value = int(text)
     if value < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
+@cache
 def _verbs() -> dict:
     """verb -> (help, handler, {flag: add_argument options}[, exclusive]): each
-    verb's grammar, declared once for the full parser and for the verb's own."""
+    verb's grammar, declared once for the full parser and the plain-form matcher."""
     group = {"type": _table_group, "choices": sorted(rootsys.ADJOINT_DIMENSION)}
     return {
         "roots": ("root system summary", _cmd_roots, {"type": {}}),
@@ -283,9 +290,12 @@ def _verbs() -> dict:
     }
 
 
+_JSON_FLAG = {"action": "store_true", "help": "emit JSON"}  # every verb takes it
+
+
 def _declare(parser, handler, arguments, exclusive=False) -> argparse.ArgumentParser:
     """``parser`` given one verb's arguments; ``exclusive`` options exclude each other."""
-    parser.add_argument("--json", action="store_true", help="emit JSON")
+    parser.add_argument("--json", **_JSON_FLAG)
     parser.set_defaults(func=handler)
     target = parser.add_mutually_exclusive_group() if exclusive else parser
     for flag, options in arguments.items():
@@ -296,6 +306,8 @@ def _declare(parser, handler, arguments, exclusive=False) -> argparse.ArgumentPa
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The full CLI grammar, built once per process; parsing leaves it unchanged."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="lca",
         description="exact Lie-theoretic calculator and table auditor for finite"
@@ -307,25 +319,77 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _verb_parser(verb: str) -> argparse.ArgumentParser:
-    """One verb's grammar alone, as the full grammar's subparser for it; built on first use."""
-    return _declare(argparse.ArgumentParser(prog=f"lca {verb}"), *_verbs()[verb][1:])
+def _value(options: dict, text: str):
+    """``text`` converted by its argument's type; a value outside its choices is a ValueError."""
+    value = options.get("type", str)(text)
+    if value not in options.get("choices", (value,)):
+        raise ValueError(f"invalid choice: {value!r}")
+    return value
+
+
+def _plain_args(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns, for argv in plain form;
+    None for any other argv.  Plain form is a verb first, then options spelled exactly
+    and given once, each valued one followed by a value not starting with '-', and the
+    positional words in one run that fits the verb's nargs, with every type and choice
+    met.  Help, '--opt=value', abbreviations, '--' and every error are argparse's."""
+    try:
+        _, handler, arguments, *exclusive = _verbs()[argv[0]]
+    except (IndexError, KeyError):  # no argv, or no verb first: -h, an unknown verb
+        return None
+    given, words, tokens = {}, [], iter(argv[1:])
+    run_open = True  # False once an option follows a word: a further word starts a second run
+    for token in tokens:
+        if not token.startswith("-"):
+            if not run_open:
+                return None
+            words.append(token)
+            continue
+        run_open = not words
+        options = _JSON_FLAG if token == "--json" else arguments.get(token)
+        if options is None or token in given:
+            return None
+        value = True if options.get("action") == "store_true" else next(tokens, "-")
+        if value is not True and value.startswith("-"):
+            return None
+        given[token] = value
+    args = {"verb": argv[0], "func": handler, "json": given.pop("--json", False)}
+    spare = len(words) - sum(o.get("nargs") != "?" for f, o in arguments.items() if f[0] != "-")
+    if spare < 0 or (any(exclusive) and len(given) > 1):
+        return None
+    try:
+        for name, options in arguments.items():
+            if name[0] == "-":
+                store_true = options.get("action") == "store_true"
+                if name in given:
+                    value = True if store_true else _value(options, given[name])
+                elif options.get("required"):
+                    return None
+                else:
+                    value = options.get("default", False if store_true else None)
+                args[name.lstrip("-").replace("-", "_")] = value
+                continue
+            # each positional takes one word ('?' none); then, leftmost first, a '?' takes
+            # one spare word and a '+' all of them
+            nargs = options.get("nargs")
+            extra = spare if nargs == "+" else min(1, spare) if nargs == "?" else 0
+            spare -= extra
+            values = [_value(options, word) for word in words[:extra + (nargs != "?")]]
+            del words[:len(values)]
+            args[name] = values if nargs == "+" else values[0] if values else options.get("default")
+    except Exception:  # argparse, parsing argv next, reports the failed type or choice, or raises
+        return None
+    return SimpleNamespace(**args) if not words else None
 
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        try:  # a query that starts with its verb is parsed by that verb's parser alone
-            parser = _verb_parser(argv[0])
-        except (IndexError, KeyError):  # no argv, or no verb first: -h, an unknown verb
-            args = None
-        else:
-            args, extras = parser.parse_known_args(argv[1:])
-        if args is None or extras:  # the full grammar gives its own usage, help and errors
+    args = _plain_args(argv)
+    if args is None:  # argparse alone writes help, usage and errors
+        try:
             args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:

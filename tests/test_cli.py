@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lca import cli, tabver, torsion
-from lca.cli import _table_groups, _verb_parser, build_parser, run
+from lca.cli import _table_groups, _verbs, build_parser, run
 from lca.embed import _CHAINS
 from lca.fixdim import ADJOINT_DIMENSION, group_classes, solve_traces
 from lca.repth import _freudenthal_multiplicities, adjoint_character
@@ -547,36 +547,46 @@ def test_a_fresh_audit_loads_neither_dataclasses_nor_inspect():
     assert result.stdout.splitlines()[-1] == "[]"
 
 
-@pytest.mark.parametrize(
-    "argv, built",
-    [
-        (None, []),
-        (["branch", "E8", "b2^3", "--json"], ["lca branch"]),
-        (["verify", "--all", "--json"], ["lca verify"]),
-    ],
-    ids=["import", "branch", "verify"],
+# counts each ArgumentParser a fresh process constructs, by prog; the full grammar is ten
+COUNT_PARSERS = (
+    "import argparse\n"
+    "progs = []\n"
+    "init = argparse.ArgumentParser.__init__\n"
+    "def counted(self, *args, **kwargs):\n"
+    "    init(self, *args, **kwargs)\n"
+    "    progs.append(self.prog)\n"
+    "argparse.ArgumentParser.__init__ = counted\n"
 )
-def test_a_fresh_query_builds_only_its_verb_parser(argv, built):
-    """Each ArgumentParser a fresh process constructs, by prog; the full grammar is ten."""
+
+
+def _fresh_report(argv, prelude, report):
+    """The last line a fresh process prints of ``report`` after ``prelude``, importing
+    lca.cli and running ``argv`` (None: import only)."""
     probe = (
-        "import argparse, contextlib, io\n"
-        "progs = []\n"
-        "init = argparse.ArgumentParser.__init__\n"
-        "def counted(self, *args, **kwargs):\n"
-        "    init(self, *args, **kwargs)\n"
-        "    progs.append(self.prog)\n"
-        "argparse.ArgumentParser.__init__ = counted\n"
+        f"{prelude}import contextlib, io, sys\n"
         "from lca.cli import run\n"
         f"if {argv!r} is not None:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         f"        assert run({argv!r}) == 0\n"
-        "print(progs)"
+        f"print({report})"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=_cli_env(), timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == repr(built)
+    return result.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [None, ["branch", "E8", "b2^3", "--json"], ["verify", "--all", "--json"]],
+    ids=["import", "branch", "verify"],
+)
+def test_a_fresh_query_builds_only_its_verb_parser(argv):
+    """A plain query is parsed by the matcher alone: it builds no ArgumentParser and
+    does not even import argparse, or the gettext that argparse imports."""
+    assert _fresh_report(argv, COUNT_PARSERS, "progs") == "[]"
+    assert _fresh_report(argv, "", "sorted({'argparse', 'gettext'} & set(sys.modules))") == "[]"
 
 
 def test_table_group_verbs_take_any_case_and_spaces(capture):
@@ -627,7 +637,7 @@ def _clear_process_caches():
     solve_traces.cache_clear()
     eigenvalue_profile.cache_clear()
     build_parser.cache_clear()
-    _verb_parser.cache_clear()
+    _verbs.cache_clear()
     _table_groups.cache_clear()
     element_annotations.cache_clear()
     _classified.cache_clear()
@@ -794,10 +804,26 @@ def _corrupt(argv, index, token):
     return argv
 
 
+def _move_option(argv, pick, index):
+    """``argv`` with one of its options, and the option's value if it takes one, moved to
+    another place, before the verb or between any two tokens."""
+    argv = list(argv)
+    starts = [i for i, token in enumerate(argv) if token.startswith("--")]
+    start = starts[pick % len(starts)]
+    width = 1 if argv[start] in ("--json", "--all") else 2
+    moved = argv[start:start + width]
+    del argv[start:start + width]
+    index %= len(argv) + 1
+    argv[index:index] = moved
+    return argv
+
+
+WITH_JSON = VALID.map(lambda argv: [*argv, "--json"])
 ARGV = st.one_of(
     VALID.map(list),
-    VALID.map(lambda argv: [*argv, "--json"]),
+    WITH_JSON,
     st.builds(_corrupt, VALID, st.integers(0, 7), MALFORMED),
+    st.builds(_move_option, WITH_JSON, st.integers(0, 3), st.integers(0, 7)),
 )
 
 
@@ -810,7 +836,7 @@ def _answer(argv):
 
 def _full_grammar_answer(argv):
     """The answer when every query is parsed by ``build_parser()`` alone."""
-    with mock.patch.object(cli, "_verb_parser", side_effect=KeyError):
+    with mock.patch.object(cli, "_plain_args", return_value=None):
         return _answer(argv)
 
 
@@ -838,10 +864,25 @@ def test_every_argv_exits_0_1_or_2(argv):
         ["fixdim", "--group=E8", "--fusion", "2A"],
         ["fixdim", "--gr", "E8", "--fusion", "2A"],
         ["fixdim", "--", "--group"],
+        ["solve-traces", "E9"],
+        ["branch", "E9", "d8"],
+        ["branch", "--json", "E8", "b2^3"],
+        ["branch", "E8", "--json", "b2^3"],
+        ["trace", "E8", "--power", "2", "2A"],
+        ["trace", "E8", "2A", "--power", "-1"],
+        ["fixdim", "--group", "E8", "--fusion", "2A", "--json", "--json"],
+        ["verify", "--all", "--table", "e8"],
+        ["classical-centralizer", "--ambient", "Sp10", "4", "-6"],
+        ["classify-2group", "--n", "0", "(-1^6,1^10)"],
+        ["fixdim", "--fusion", "2A"],
+        ["fixdim", "--group", "E8", "--fusion", "--json"],
     ],
     ids=[
         "no-argv", "-h", "--help", "verb-help", "option-before-verb", "extra-word",
         "unknown-verb", "option=value", "abbreviated-option", "double-dash",
+        "positional-choice", "unknown-branch-group", "option-before-words", "words-split-by-option",
+        "option-between-words", "negative-option-value", "repeated-flag", "exclusive-options",
+        "negative-word", "non-positive-size", "missing-required", "option-as-value",
     ],
 )
 def test_dispatch_answers_as_the_full_grammar(argv):
