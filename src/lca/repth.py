@@ -33,9 +33,6 @@ class Character(NamedTuple):
             raise ValueError("negative multiplicity")
         return Character(ambient, items)
 
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
     @property
     def dimension(self) -> int:
         return sum(m for _, m in self.entries)

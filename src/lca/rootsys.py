@@ -236,10 +236,6 @@ class RootSystem:
             out.append(value)
         return tuple(out)
 
-    def pairing_with_coroot(self, weight, root_coords) -> int:
-        """<weight, root-coroot> = 2 (weight, root) / (root, root)."""
-        return dot(weight, self.coroot(root_coords, self.root_norm(root_coords)))
-
     @cached_property
     def positive_coroots(self) -> tuple[tuple[int, ...], ...]:
         """The coroots of the positive roots, in simple-coroot coordinates."""
@@ -464,9 +460,6 @@ class SemisimpleTypeLabel(NamedTuple):
     def plain(self) -> "SemisimpleTypeLabel":
         """The same label with annotations stripped."""
         return SemisimpleTypeLabel(_canonical((st, False) for st, _ in self.factors))
-
-    def same_type(self, other: "SemisimpleTypeLabel") -> bool:
-        return self.plain() == other.plain()
 
 
 def _canonical(factors) -> tuple:

@@ -65,10 +65,6 @@ class SignVector(NamedTuple("SignVector", [("n", int), ("signs", tuple)])):
     def weight(self) -> int:
         return sum(1 for s in self.signs if s == -1)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.weight == 0
-
 
 class EigenPartition(NamedTuple):
     """Joint eigenspace blocks of a set of sign vectors, in coordinate order."""
@@ -107,10 +103,6 @@ class SOCentralizer(NamedTuple):
     torus_blocks: int
     dropped: int
 
-    @property
-    def has_torus_block(self) -> bool:
-        return self.torus_blocks > 0
-
 
 def so_centralizer_type(vectors, n: int | None = None) -> SOCentralizer:
     """Connected centralizer of sign vectors in SO_n, as a type label.
@@ -130,18 +122,6 @@ def so_centralizer_type(vectors, n: int | None = None) -> SOCentralizer:
         else:
             factors.extend(orthogonal_factors(size))
     return SOCentralizer(SemisimpleTypeLabel.of(*factors), torus, dropped)
-
-
-def spin_lift_order(v: SignVector) -> int:
-    """2 iff the -1-eigenspace dimension is divisible by 4, else 4."""
-    return 2 if v.weight % 4 == 0 else 4
-
-
-def lift_commute(u: SignVector, v: SignVector) -> bool:
-    """Spin lifts commute iff the -1 supports meet in an even number of places."""
-    if u.n != v.n:
-        raise ValueError("mixed sign-vector lengths")
-    return len(u.support & v.support) % 2 == 0
 
 
 # -- the Clifford group on (mask, sign) pairs ----------------------------------

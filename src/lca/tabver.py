@@ -7,15 +7,9 @@ one reader, ``_read_table``, from a declared field schema, so a malformed
 field is reported with its file, line and field name.  Tables ship exactly
 as printed; rows known to fail a check carry an expected-discrepancy flag in
 the data file, and the engine verifies that they do fail (a flagged row that
-passes is itself reported).  The checks are:
-
-* the dimension identity: the trace average over F equals the dimension of
-  the printed centralizer, as an exact integer;
-* structural coherence: fusion counts, class labels, domination of each row
-  by a maximal row, overgroup dimensions;
-* irreducibility certificates: restriction of the adjoint module along the
-  registered embedding chain that lands in the row's centralizer has no
-  trivial composition factor.
+passes is itself reported).  ``CHECKS`` is the one list of checks, keyed by
+the pass that runs them over its rows; each check's docstring or message says
+what it tests.  ``run_full_audit`` runs the three passes.
 """
 
 from __future__ import annotations
@@ -340,9 +334,6 @@ class AuditReport(NamedTuple):
     def ok(self) -> bool:
         return not any(e.status == "fail" for e in self.entries)
 
-    def by_status(self, status: str):
-        return [e for e in self.entries if e.status == status]
-
     def to_markdown(self) -> str:
         lines = ["| row | subject | check | status | detail |", "|---|---|---|---|---|"]
         for e in self.entries:
@@ -352,101 +343,87 @@ class AuditReport(NamedTuple):
         return "\n".join(lines + ["", f"summary: {summary}", f"ok: {self.ok}"]) + "\n"
 
 
-def _check(row, check, status, detail=""):
-    return AuditEntry(row.table, row.row_id, row.describe(), check, status, detail)
-
-
-def _verdict(row, check, ok, failure):
-    """A pass, or a fail that says ``failure``."""
-    return _check(row, check, "pass") if ok else _check(row, check, "fail", failure)
-
-
 def _sorted_entries(entries):
     return tuple(sorted(entries, key=lambda e: (e.table, e.row_id, e.check, e.row)))
 
 
-# -- audit: dimension identity --------------------------------------------------
-
-
-def audit_dimension_identity(rows, traces: TraceTable) -> AuditReport:
-    """Check (dim + sum of traces) / |F| against the printed centralizer dimension."""
-    entries = []
-    for row in rows:
-        if row.fusion is None:
-            continue
-        expected = row.centralizer.dimension
-        try:
-            value = fixed_point_dimension(
-                ADJOINT_DIMENSION[row.group], row.fusion, traces, row.group
-            )
-        except KeyError as exc:
-            entries.append(_check(row, "dimension-identity", "fail", str(exc)))
-            continue
-        prov = sorted(
-            {traces.provenance(row.group, l) for l in row.fusion.labels()}
-        )
-        prov_note = f" [traces: {', '.join(prov)}]" if prov else ""
-        if value == expected:
-            status = "pass"
-            detail = f"average {value} = dim {expected}{prov_note}"
-            if row.expected_flagged:
-                status = "fail"
-                detail = f"row is flagged as a discrepancy but the identity holds ({value})"
-        else:
-            integral = "" if value.denominator == 1 else " (not an integer)"
-            status = "flagged" if row.expected_flagged else "fail"
-            detail = f"average {value}{integral} != dim {expected}{prov_note}"
-        entries.append(_check(row, "dimension-identity", status, detail))
+def _audit(rows, checks, context) -> AuditReport:
+    """One entry per row and check that applies to it, sorted; ``context`` is what
+    the checks share, built once per pass."""
+    entries = [
+        AuditEntry(row.table, row.row_id, row.describe(), name, *verdict)
+        for row in rows
+        for name, check in checks
+        if (verdict := check(row, context)) is not None
+    ]
     return AuditReport(_sorted_entries(entries))
 
 
-# -- audit: structural checks ----------------------------------------------------
+def _verdict(ok, failure):
+    """A pass, or a fail that says ``failure``."""
+    return ("pass", "") if ok else ("fail", failure)
 
 
-def audit_structure(ts: TableSet) -> AuditReport:
-    entries = []
-    maximal = ts.maximal_rows()
-    max_groups = {r.group for r in maximal}
-
-    for row in ts.subgroup_rows():
-        if row.fusion is not None:
-            entries.append(
-                _verdict(
-                    row,
-                    "fusion-count",
-                    row.fusion.count_sum == row.f_order - 1,
-                    f"counts sum to {row.fusion.count_sum}, |F|-1 = {row.f_order - 1}",
-                )
-            )
-            missing = [l for l in row.fusion.labels() if (row.group, l) not in ts.classes]
-            entries.append(_verdict(row, "class-labels", not missing, f"unknown {missing}"))
-
-        if row.group in max_groups:
-            dominated = any(
-                m.f_order % row.f_order == 0
-                and row.centralizer.dimension >= m.centralizer.dimension
-                and constraints_compatible(row.constraint, row.f_order, m.constraint, m.f_order)
-                for m in maximal
-                if m.group == row.group
-            )
-            entries.append(
-                _verdict(row, "maximal-domination", dominated, "no maximal row dominates this one")
-            )
-
-        if row.overgroup is not None:
-            entries.append(
-                _verdict(
-                    row,
-                    "overgroup-dimension",
-                    row.overgroup.dimension >= row.centralizer.dimension,
-                    f"overgroup dim {row.overgroup.dimension} < centralizer dim"
-                    f" {row.centralizer.dimension}",
-                )
-            )
-    return AuditReport(_sorted_entries(entries))
+# -- checks ------------------------------------------------------------------------
 
 
-# -- audit: irreducibility certificates -------------------------------------------
+def _dimension_identity(row, traces: TraceTable):
+    """(dim + sum of traces) / |F| against the printed centralizer dimension."""
+    if row.fusion is None:
+        return None
+    expected = row.centralizer.dimension
+    try:
+        value = fixed_point_dimension(ADJOINT_DIMENSION[row.group], row.fusion, traces, row.group)
+    except KeyError as exc:
+        return "fail", str(exc)
+    prov = sorted({traces.provenance(row.group, l) for l in row.fusion.labels()})
+    prov_note = f" [traces: {', '.join(prov)}]" if prov else ""
+    if value == expected:
+        if row.expected_flagged:
+            return "fail", f"row is flagged as a discrepancy but the identity holds ({value})"
+        return "pass", f"average {value} = dim {expected}{prov_note}"
+    integral = "" if value.denominator == 1 else " (not an integer)"
+    status = "flagged" if row.expected_flagged else "fail"
+    return status, f"average {value}{integral} != dim {expected}{prov_note}"
+
+
+def _fusion_count(row, ts):
+    if row.fusion is None:
+        return None
+    count = row.fusion.count_sum
+    return _verdict(count == row.f_order - 1, f"counts sum to {count}, |F|-1 = {row.f_order - 1}")
+
+
+def _class_labels(row, ts: TableSet):
+    if row.fusion is None:
+        return None
+    missing = [l for l in row.fusion.labels() if (row.group, l) not in ts.classes]
+    return _verdict(not missing, f"unknown {missing}")
+
+
+def _maximal_domination(row, ts: TableSet):
+    """Some maximal row of the group has order divisible by |F|, a centralizer of at
+    most this dimension, and a characteristic this row allows."""
+    maximal = [m for m in ts.maximal_rows() if m.group == row.group]
+    if not maximal:
+        return None
+    dominated = any(
+        m.f_order % row.f_order == 0
+        and row.centralizer.dimension >= m.centralizer.dimension
+        and constraints_compatible(row.constraint, row.f_order, m.constraint, m.f_order)
+        for m in maximal
+    )
+    return _verdict(dominated, "no maximal row dominates this one")
+
+
+def _overgroup_dimension(row, ts):
+    if row.overgroup is None:
+        return None
+    return _verdict(
+        row.overgroup.dimension >= row.centralizer.dimension,
+        f"overgroup dim {row.overgroup.dimension} < centralizer dim {row.centralizer.dimension}",
+    )
+
 
 # small-characteristic caveats recorded alongside a passing certificate
 _CERTIFICATE_NOTES = {
@@ -472,54 +449,63 @@ def _chains_by_source() -> dict:
     return sources
 
 
-def audit_irreducibility_certificates(ts: TableSet) -> AuditReport:
-    """No-trivial-composition-factor certificates for the maximal rows.
-
-    Full-rank centralizers pass outright.  Any other row is certified on the
+def _irreducibility(row, chains: dict):
+    """Full-rank centralizers pass outright.  Any other row is certified on the
     one registered chain of its group whose source type is the row's
     centralizer (B1 and C1 read as A1): the adjoint module is restricted
-    along it.  A row that no chain reaches is reported as not checked; a row
-    that several chains reach fails, naming them.
+    along it.  A row that no chain reaches is not checked; a row that several
+    chains reach fails, naming them.
     """
-    entries, sources = [], _chains_by_source()
-    for row in ts.maximal_rows():
-        note = _CERTIFICATE_NOTES.get((row.group, row.f_name, str(row.centralizer)), "")
-        if row.centralizer.rank == group_type(row.group).rank:
-            detail = "maximal rank, irreducible outright"
-            if note:
-                detail += f"; {note}"
-            entries.append(_check(row, "irreducibility", "pass", detail))
-            continue
-        names = sources.get((row.group, _normalize_rank_one(row.centralizer)), [])
-        if not names:
-            entries.append(_check(row, "irreducibility", "not-checked", "no registered chain"))
-            continue
-        if len(names) > 1:
-            detail = f"chains {', '.join(names)} all land in {row.centralizer}"
-            entries.append(_check(row, "irreducibility", "fail", detail))
-            continue
-        adj = adjoint_character(build_root_system(SimpleType.parse(row.group)))
-        trivial = has_trivial_factor(restrict(adj, named_chain(row.group, names[0])))
-        status = "fail" if trivial else "pass"
-        detail = f"chain {names[0]}: restriction has {'a' if trivial else 'no'} trivial factor"
-        if note:
-            detail += f"; {note}"
-        entries.append(_check(row, "irreducibility", status, detail))
-    return AuditReport(_sorted_entries(entries))
+    note = _CERTIFICATE_NOTES.get((row.group, row.f_name, str(row.centralizer)), "")
+    note = f"; {note}" if note else ""
+    if row.centralizer.rank == group_type(row.group).rank:
+        return "pass", f"maximal rank, irreducible outright{note}"
+    names = chains.get((row.group, _normalize_rank_one(row.centralizer)), [])
+    if not names:
+        return "not-checked", "no registered chain"
+    if len(names) > 1:
+        return "fail", f"chains {', '.join(names)} all land in {row.centralizer}"
+    adj = adjoint_character(build_root_system(SimpleType.parse(row.group)))
+    trivial = has_trivial_factor(restrict(adj, named_chain(row.group, names[0])))
+    detail = f"chain {names[0]}: restriction has {'a' if trivial else 'no'} trivial factor{note}"
+    return ("fail" if trivial else "pass"), detail
 
 
-# -- full audit --------------------------------------------------------------------
+# Every check of the audit, by the pass that runs it.  A check maps (row, the
+# pass's context) to (status, detail), or to None where it does not apply to the row.
+CHECKS = {
+    "dimension": (("dimension-identity", _dimension_identity),),
+    "structure": (
+        ("fusion-count", _fusion_count),
+        ("class-labels", _class_labels),
+        ("maximal-domination", _maximal_domination),
+        ("overgroup-dimension", _overgroup_dimension),
+    ),
+    "certificates": (("irreducibility", _irreducibility),),
+}
+
+
+def audit_dimension_identity(rows, traces: TraceTable) -> AuditReport:
+    return _audit(rows, CHECKS["dimension"], traces)
+
+
+def audit_structure(ts: TableSet, rows) -> AuditReport:
+    """The structure checks of ``rows``, subgroup rows of ``ts``."""
+    return _audit(rows, CHECKS["structure"], ts)
+
+
+def audit_irreducibility_certificates(ts: TableSet) -> AuditReport:
+    """No-trivial-composition-factor certificates for the maximal rows."""
+    return _audit(ts.maximal_rows(), CHECKS["certificates"], _chains_by_source())
 
 
 def run_full_audit(ts: TableSet | None = None, tables: tuple | None = None) -> AuditReport:
     """All audits over the requested tables (default: everything)."""
     ts = ts or load_tables()
     wanted = set(tables or AUDITED_TABLES)
-    entries = []
     rows = [r for r in ts.subgroup_rows() if r.table in wanted]
-    entries.extend(audit_dimension_identity(rows, assemble_traces(rows)).entries)
-    structural = audit_structure(ts)
-    entries.extend(e for e in structural.entries if e.table in wanted)
+    entries = audit_dimension_identity(rows, assemble_traces(rows)).entries
+    entries += audit_structure(ts, rows).entries
     if "maximal" in wanted:
-        entries.extend(audit_irreducibility_certificates(ts).entries)
+        entries += audit_irreducibility_certificates(ts).entries
     return AuditReport(_sorted_entries(entries))

@@ -257,7 +257,7 @@ def levi_embedding(rs: RootSystem, kept):
 
 def is_weyl_stable(char) -> bool:
     """Every weight of the character has the multiplicity of its whole Weyl orbit."""
-    table = char.as_dict()
+    table = dict(char.entries)
     for w, m in char.entries:
         for v in char.ambient.weyl_orbit(w):
             if table.get(v, 0) != m:

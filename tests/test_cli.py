@@ -361,6 +361,28 @@ def test_verify_exit_one_when_flags_removed(tmp_path, monkeypatch, capsys):
     shutil.rmtree(tmp_path, ignore_errors=True)
 
 
+@pytest.mark.parametrize("flags", ["shipped", "removed"])
+def test_verify_table_is_a_slice_of_all(tmp_path, monkeypatch, capture, flags):
+    """``verify --table t --json``, for every table id and alias, answers the ``--all``
+    entries of that table, with the ``ok`` and exit status those entries give."""
+    if flags == "removed":
+        for name in os.listdir(DATA):
+            text = open(os.path.join(DATA, name)).read().replace("|expect-dim-mismatch", "|")
+            (tmp_path / name).write_text(text)
+        monkeypatch.setenv("LCA_DATA_DIR", str(tmp_path))
+    everything = json.loads(capture("verify", "--all", "--json")[1])["entries"]
+    oks = {}
+    for table in (*AUDITED_TABLES, *TABLE_ALIASES):
+        name = TABLE_ALIASES.get(table, table)
+        entries = [e for e in everything if e["table"] == name]
+        oks[name] = all(e["status"] != "fail" for e in entries)
+        status, out, err = capture("verify", "--table", table, "--json")
+        assert entries and json.loads(out) == {"ok": oks[name], "entries": entries, "schema_version": 1}
+        assert (status, err) == (0 if oks[name] else 1, ""), table
+    failing = {name for name, ok in oks.items() if not ok}
+    assert failing == (set() if flags == "shipped" else {"e8", "e6", "aute6"})
+
+
 @pytest.mark.parametrize(
     "name,line,new,where",
     [
@@ -763,6 +785,19 @@ def _blocks(ambient, blocks):
     return (f"{ambient[:2]}{dim}", *map(str, blocks))
 
 
+# the verbs whose positional words take '+' or '?': an option between two of their
+# words leaves the later ones to no argument
+BRANCH_CHAIN = st.builds(lambda key: ("branch", *key), st.sampled_from(sorted(_CHAINS)))
+CLASSIFY_2GROUP = st.integers(1, 8).flatmap(
+    lambda n: _sign_vectors(n).map(lambda vs: ("classify-2group", "--n", str(n), *vs))
+)
+CLASSICAL_CENTRALIZER = st.builds(
+    lambda blocks: ("classical-centralizer", "--ambient", *blocks),
+    st.builds(
+        _blocks, st.sampled_from(["Sp", "SO", "SO+1"]),
+        st.lists(st.integers(1, 8), min_size=1, max_size=3),
+    ),
+)
 VALID = st.one_of(
     st.tuples(st.just("roots"), TYPE),
     st.tuples(st.just("torsion-enum"), TYPE),
@@ -771,7 +806,7 @@ VALID = st.one_of(
         lambda key, power: ("trace", *key, "--power", str(power)),
         st.sampled_from(CLASSES), st.integers(-3, 12),
     ),
-    st.builds(lambda key: ("branch", *key), st.sampled_from(sorted(_CHAINS))),
+    BRANCH_CHAIN,
     st.builds(lambda group: ("branch", group), st.sampled_from(sorted({g for g, _ in _CHAINS}))),
     st.builds(
         lambda group, fusion: ("fixdim", "--group", group, "--fusion", fusion),
@@ -781,16 +816,8 @@ VALID = st.one_of(
             st.lists(st.tuples(st.integers(0, 7), st.integers(1, 30)), min_size=1, max_size=4),
         ),
     ),
-    st.integers(1, 8).flatmap(
-        lambda n: _sign_vectors(n).map(lambda vs: ("classify-2group", "--n", str(n), *vs))
-    ),
-    st.builds(
-        lambda blocks: ("classical-centralizer", "--ambient", *blocks),
-        st.builds(
-            _blocks, st.sampled_from(["Sp", "SO", "SO+1"]),
-            st.lists(st.integers(1, 8), min_size=1, max_size=3),
-        ),
-    ),
+    CLASSIFY_2GROUP,
+    CLASSICAL_CENTRALIZER,
     st.tuples(st.just("solve-traces"), TABLE_GROUP),
     st.tuples(st.just("verify"), st.just("--table"), st.sampled_from([*TABLE_ALIASES, *AUDITED_TABLES])),
     st.just(("verify", "--all")),
@@ -804,26 +831,62 @@ def _corrupt(argv, index, token):
     return argv
 
 
-def _move_option(argv, pick, index):
-    """``argv`` with one of its options, and the option's value if it takes one, moved to
-    another place, before the verb or between any two tokens."""
+def _take_option(argv, pick):
+    """``argv`` without one of its options and the option's value if it takes one, and
+    the tokens taken."""
     argv = list(argv)
     starts = [i for i, token in enumerate(argv) if token.startswith("--")]
     start = starts[pick % len(starts)]
     width = 1 if argv[start] in ("--json", "--all") else 2
     moved = argv[start:start + width]
     del argv[start:start + width]
+    return argv, moved
+
+
+def _move_option(argv, pick, index):
+    """``argv`` with one of its options, and the option's value if it takes one, moved to
+    another place, before the verb or between any two tokens."""
+    argv, moved = _take_option(argv, pick)
     index %= len(argv) + 1
     argv[index:index] = moved
     return argv
 
 
+def _word_gaps(argv):
+    """The places between two adjacent positional words of a drawn query."""
+    words = [
+        i for i in range(1, len(argv))
+        if argv[i][:1] != "-" and (argv[i - 1][:2] != "--" or argv[i - 1] in ("--json", "--all"))
+    ]
+    return [j for i, j in zip(words, words[1:]) if j == i + 1]
+
+
+def _split_words(argv, pick, gap):
+    """``argv`` with one of its options, and its value, moved between two positional words."""
+    argv, moved = _take_option(argv, pick)
+    gaps = _word_gaps(argv)
+    index = gaps[gap % len(gaps)]
+    argv[index:index] = moved
+    return argv
+
+
+# a table group's slot given a name that is not one: argparse rejects it by type or choice
+NOT_A_TABLE_GROUP = st.sampled_from(["E9", "AutE7", "A2", "D4", "e9", "x", ""])
 WITH_JSON = VALID.map(lambda argv: [*argv, "--json"])
+SPLITTABLE = st.one_of(BRANCH_CHAIN, CLASSIFY_2GROUP, CLASSICAL_CENTRALIZER).map(
+    lambda argv: [*argv, "--json"]
+).filter(_word_gaps)
 ARGV = st.one_of(
     VALID.map(list),
     WITH_JSON,
     st.builds(_corrupt, VALID, st.integers(0, 7), MALFORMED),
     st.builds(_move_option, WITH_JSON, st.integers(0, 3), st.integers(0, 7)),
+    st.builds(_split_words, SPLITTABLE, st.integers(0, 3), st.integers(0, 3)),
+    st.builds(lambda group: ["solve-traces", group], NOT_A_TABLE_GROUP),
+    st.builds(
+        lambda group, chain: ["branch", group, chain],
+        NOT_A_TABLE_GROUP, st.sampled_from(sorted({name for _, name in _CHAINS})),
+    ),
 )
 
 

@@ -50,11 +50,9 @@ def test_no_lca_module_imports_dataclasses():
     assert importers == []
 
 
-def test_every_traced_boundary_resolves():
-    """Each function the benchmark's tracer wraps (``perfbench/tracer.py``) exists in lca.
-
-    The file is parsed, not imported, so the check leaves ``perfbench/`` untouched.
-    """
+def _traced_boundaries() -> dict:
+    """``BOUNDARIES`` of the benchmark's tracer (``perfbench/tracer.py``): module ->
+    attribute names.  The file is parsed, not imported, so ``perfbench/`` stays untouched."""
     with open(os.path.join(ROOT, "perfbench", "tracer.py"), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     (boundaries,) = [
@@ -62,6 +60,12 @@ def test_every_traced_boundary_resolves():
         for node in tree.body
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["BOUNDARIES"]
     ]
+    return boundaries
+
+
+def test_every_traced_boundary_resolves():
+    """Each function the benchmark's tracer wraps exists in lca."""
+    boundaries = _traced_boundaries()
     missing = []
     for modname, attrs in boundaries.items():
         for attr in attrs:
@@ -71,3 +75,40 @@ def test_every_traced_boundary_resolves():
             if not callable(target):
                 missing.append(f"lca.{modname}.{attr}")
     assert boundaries and missing == []
+
+
+_NAME_FIELD = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def _unreferenced_definitions() -> list:
+    """``module.qualname`` of each function, class and method of ``src/lca``, dunders
+    aside, whose name no code in ``src/lca`` mentions outside the definition itself."""
+    definitions, references = [], {}  # references: name -> scopes it is mentioned in
+
+    def visit(node, module, scope):  # scope: the enclosing definitions, outermost first
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((module, scope + (child,)))
+                visit(child, module, scope + (child,))
+                continue
+            field = _NAME_FIELD.get(type(child))
+            if field:
+                references.setdefault(getattr(child, field), []).append(scope)
+            visit(child, module, scope)
+
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "lca", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            visit(ast.parse(fh.read()), os.path.basename(path)[:-3], ())
+    return [
+        ".".join([module, *(d.name for d in scope)])
+        for module, scope in definitions
+        if not (scope[-1].name.startswith("__") and scope[-1].name.endswith("__"))
+        and all(scope[-1] in mention for mention in references.get(scope[-1].name, ()))
+    ]
+
+
+def test_no_lca_definition_is_only_called_from_outside_lca():
+    """A function, class or method that only tests call is dead code.  The traced
+    boundaries are exempt: the benchmark's tracer wraps them from outside."""
+    exempt = {f"{module}.{attr}" for module, attrs in _traced_boundaries().items() for attr in attrs}
+    assert [name for name in _unreferenced_definitions() if name not in exempt] == []

@@ -48,7 +48,7 @@ def test_weyl_dimension_rejects_non_dominant():
 def test_dominant_character_highest_weight_multiplicity():
     for name, lam in [("A2", (1, 1)), ("B2", (0, 1)), ("G2", (1, 0))]:
         char = dominant_character(root_system(name), lam)
-        assert char.as_dict()[lam] == 1
+        assert dict(char.entries)[lam] == 1
 
 
 def test_dominant_character_against_kostant_oracle():
@@ -70,13 +70,13 @@ def test_dominant_character_against_kostant_oracle():
 
 def test_a2_adjoint_zero_weight():
     char = dominant_character(root_system("A2"), (1, 1))
-    assert char.as_dict()[(0, 0)] == 2
+    assert dict(char.entries)[(0, 0)] == 2
 
 
 def test_b2_spin_character():
     char = dominant_character(root_system("B2"), (0, 1))
     assert char.dimension == 4
-    assert set(char.as_dict().values()) == {1}
+    assert set(dict(char.entries).values()) == {1}
 
 
 def test_character_weyl_stability():
@@ -197,7 +197,7 @@ def test_semisimplify_rejects_tampered_characters(name):
     top = (1,) * ambient.rank
     char = _sum_of_irreducibles(ambient, [(top, 1), ((0,) * ambient.rank, 2)])
     assert semisimplify(char) == ((top, 1), ((0,) * ambient.rank, 2))
-    table = char.as_dict()
+    table = dict(char.entries)
     outer = [w for w in table if not ambient.is_dominant(w)]
     assert outer
     unstable = "is not Weyl-stable"

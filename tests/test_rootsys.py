@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from lca.linalg import dot
 from lca.rootsys import (
     ProductRootSystem,
     SemisimpleTypeLabel,
@@ -71,20 +72,25 @@ def test_symmetrizer_refuses_a_ratio_that_does_not_divide():
         symmetrizer(((2, -4), (-1, 2)))
 
 
+def _coroot_pairing(rs, weight, root_coords):
+    """<weight, root-coroot> = 2 (weight, root) / (root, root)."""
+    return dot(weight, rs.coroot(root_coords, rs.root_norm(root_coords)))
+
+
 @pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8"])
 def test_coroot_pairings_of_extended_nodes_are_ints(name):
     rs = root_system(name)
     nodes = [c for _, c in rs.extended_nodes()]
     for a in nodes:
         for b in nodes:
-            value = rs.pairing_with_coroot(rs.root_to_weight(a), b)
+            value = _coroot_pairing(rs, rs.root_to_weight(a), b)
             assert type(value) is int
             assert value == 2 if a == b else value in (0, -1, -2, -3)
 
 
 def test_coroot_pairing_rejects_a_non_root():
     with pytest.raises(ValueError):
-        root_system("B2").pairing_with_coroot((1, 0), (2, 1))
+        _coroot_pairing(root_system("B2"), (1, 0), (2, 1))
 
 
 def test_two_rho_check_is_twice_the_height():
@@ -200,7 +206,7 @@ def test_semisimple_label_arithmetic():
     assert label.dimension == 3 + 3 + 3 + 3 + 10
     assert label.rank == 6
     assert str(label.plain()) == "A1^2*B1^2*B2"
-    assert label.same_type(SemisimpleTypeLabel.parse("B1*A1*B1*~A1*B2"))
+    assert label.plain() == SemisimpleTypeLabel.parse("B1*A1*B1*~A1*B2").plain()
     assert SemisimpleTypeLabel.parse("B1").dimension == SemisimpleTypeLabel.parse("A1").dimension
     assert SemisimpleTypeLabel.parse("A1*E7").dimension == 136
     assert str(SemisimpleTypeLabel.parse("A1*A1*A1")) == "A1^3"
@@ -253,7 +259,7 @@ def test_classify_subdiagram_on_extended_deletions():
                 for st, keys in comps:
                     pairings = tuple(
                         tuple(
-                            rs.pairing_with_coroot(rs.root_to_weight(coords[a]), coords[b])
+                            _coroot_pairing(rs, rs.root_to_weight(coords[a]), coords[b])
                             for b in keys
                         )
                         for a in keys

@@ -13,9 +13,7 @@ from lca.spin2 import (
     classical_centralizer,
     eigen_partition,
     identify_2group,
-    lift_commute,
     so_centralizer_type,
-    spin_lift_order,
 )
 
 V = SignVector.parse
@@ -55,7 +53,7 @@ def test_golden_two_group_cases(vectors, group, centralizer):
     assert str(identify_2group(vectors)) == group
     result = so_centralizer_type(vectors)
     assert str(result.label) == centralizer
-    assert not result.has_torus_block
+    assert result.torus_blocks == 0
 
 
 def test_sign_vector_parse_and_format():
@@ -82,21 +80,32 @@ def test_eigen_partition_examples():
         eigen_partition([V("(-1^2,1^2)"), V("(-1^2,1^4)")])
 
 
+def _lift_order(v):
+    """Order of the spin lift of ``v`` other than 1: 2 iff the -1-eigenspace dimension is
+    divisible by 4, else 4."""
+    return identify_2group([v]).order
+
+
+def _lifts_commute(u, v):
+    return _clifford_mul(_lift(u), _lift(v)) == _clifford_mul(_lift(v), _lift(u))
+
+
 def test_spin_lift_order_rule():
-    assert spin_lift_order(V("(-1^4,1^12)")) == 2
-    assert spin_lift_order(V("(-1^6,1^10)")) == 4
-    assert spin_lift_order(V("(-1^8,1^8)")) == 2
-    assert spin_lift_order(V("(-1^2,1^2)")) == 4
+    assert _lift_order(V("(-1^4,1^12)")) == 2
+    assert _lift_order(V("(-1^6,1^10)")) == 4
+    assert _lift_order(V("(-1^8,1^8)")) == 2
+    assert _lift_order(V("(-1^2,1^2)")) == 4
     allones = V("(1^8)")
-    assert spin_lift_order(allones) == 2 and allones.is_identity
+    assert _lift_order(allones) == 1 and allones.weight == 0  # the lift of 1 is 1
 
 
 def test_lift_commute_rule():
-    assert lift_commute(V("(-1^4,1^12)"), V("(1^4,-1^4,1^8)"))  # disjoint supports
-    assert lift_commute(V("(-1^6,1^10)"), V("(1^6,-1^4,1^6)"))  # overlap 0
-    assert not lift_commute(V("(-1^6,1^10)"), V("(-1^3,1^3,-1^3,1^7)"))  # overlap 3
+    # spin lifts commute iff the -1 supports meet in an even number of places
+    assert _lifts_commute(V("(-1^4,1^12)"), V("(1^4,-1^4,1^8)"))  # disjoint supports
+    assert _lifts_commute(V("(-1^6,1^10)"), V("(1^6,-1^4,1^6)"))  # overlap 0
+    assert not _lifts_commute(V("(-1^6,1^10)"), V("(-1^3,1^3,-1^3,1^7)"))  # overlap 3
     with pytest.raises(ValueError):
-        lift_commute(V("(-1^2,1^2)"), V("(-1^2,1^4)"))
+        identify_2group([V("(-1^2,1^2)"), V("(-1^2,1^4)")])
 
 
 def test_identify_single_vectors():
@@ -117,7 +126,7 @@ def test_identify_unrecognized_reports_order():
 def test_torus_block_flag():
     # a size-2 joint eigenspace is a normal torus, flagged as reducibility evidence
     result = so_centralizer_type([V("(-1^2,1^6)")])
-    assert result.has_torus_block
+    assert result.torus_blocks > 0
     assert str(result.label) == "A3"
 
 
@@ -186,7 +195,7 @@ def test_group_order_matches_span_rank():
         # the central sign doubles the group exactly when some product of
         # generators lifts with a sign, i.e. the group is bigger than the span
         has_centre = group.order == 2 ** (rank + 1)
-        if any(spin_lift_order(v) == 4 for v in vectors):
+        if any(_lift_order(v) == 4 for v in vectors):
             assert has_centre
 
 
@@ -196,7 +205,7 @@ def test_so9_four_four_one_blocks():
     assert sorted(part.sizes) == [1, 4, 4]
     result = so_centralizer_type([u, v])
     assert str(result.label) == "A1^4"
-    assert result.dropped == 1 and not result.has_torus_block
+    assert result.dropped == 1 and result.torus_blocks == 0
     assert str(identify_2group([u, v])) == "2^2"
 
 

@@ -103,15 +103,15 @@ def test_char_constraints():
 
 def test_full_audit_flag_semantics(report):
     assert report.ok
-    flagged = {(e.table, e.row.split()[1]) for e in report.by_status("flagged")}
+    flagged = {(e.table, e.row.split()[1]) for e in report.entries if e.status == "flagged"}
     assert flagged == EXPECTED_FLAGGED
-    assert not report.by_status("fail")
+    assert not [e for e in report.entries if e.status == "fail"]
 
 
 def test_flagged_rows_fail_when_flags_stripped(tables):
     stripped_report = run_full_audit(strip_flags(tables))
     assert not stripped_report.ok
-    failing = {(e.table, e.row.split()[1]) for e in stripped_report.by_status("fail")}
+    failing = {(e.table, e.row.split()[1]) for e in stripped_report.entries if e.status == "fail"}
     assert failing == EXPECTED_FLAGGED
 
 
@@ -197,7 +197,7 @@ def test_structure_audit_catches_synthetic_bad_rows(tables):
     )
     ts = load_tables()
     ts.rows["e8"] = ts.rows["e8"] + (bad_fusion,)
-    result = audit_structure(ts)
+    result = audit_structure(ts, ts.subgroup_rows())
     entries = [e for e in result.entries if e.row_id == "e8#999"]
     assert any(e.check == "fusion-count" and e.status == "fail" for e in entries)
 
@@ -208,7 +208,7 @@ def test_structure_audit_catches_synthetic_bad_rows(tables):
         CharConstraint.parse(""), None, (),
     )
     ts.rows["e8"] = ts.rows["e8"] + (bad_label,)
-    entries = [e for e in audit_structure(ts).entries if e.row_id == "e8#998"]
+    entries = [e for e in audit_structure(ts, ts.subgroup_rows()).entries if e.row_id == "e8#998"]
     assert any(e.check == "class-labels" and e.status == "fail" for e in entries)
 
     undominated = TableRow(
@@ -218,7 +218,7 @@ def test_structure_audit_catches_synthetic_bad_rows(tables):
         CharConstraint.parse(""), None, (),
     )
     ts.rows["g2"] = ts.rows["g2"] + (undominated,)
-    entries = [e for e in audit_structure(ts).entries if e.row_id == "g2#997"]
+    entries = [e for e in audit_structure(ts, ts.subgroup_rows()).entries if e.row_id == "g2#997"]
     assert any(e.check == "maximal-domination" and e.status == "fail" for e in entries)
 
 
@@ -284,6 +284,9 @@ def test_load_errors(tmp_path):
         load_tables(str(data))
     (data / "table_g2.txt").write_text("G2|2|2|H9|2A|||\n")
     with pytest.raises(ValueError, match="centralizer"):
+        load_tables(str(data))
+    (data / "table_g2.txt").write_text("G2|2|2|A1*A1|2A^2|||\n")  # |F| - 1 = 1
+    with pytest.raises(ValueError, match="field fusion: counts sum to 2, expected 1"):
         load_tables(str(data))
 
 
