@@ -181,9 +181,9 @@ def _cmd_branch(args) -> int:
 
 def _cmd_fixdim(args) -> int:
     fusion = fixdim.ClassFusion.parse(args.fusion)
-    traces = fixdim.solve_traces(args.group)
+    classes = fixdim.solve_traces(args.group)
     dim = rootsys.ADJOINT_DIMENSION[args.group]
-    value = fixdim.fixed_point_dimension(dim, fusion, traces, args.group)
+    value = fixdim.fixed_point_dimension(dim, fusion, classes, args.group)
     if args.json:
         return _emit_json(
             {
@@ -229,8 +229,8 @@ def _cmd_classical_centralizer(args) -> int:
 
 def _cmd_solve_traces(args) -> int:
     rows = [
-        {"class": label, "trace": str(value), "provenance": prov}
-        for (_, label), (value, prov) in sorted(fixdim.solve_traces(args.group).entries.items())
+        {"class": label, "trace": str(cls.trace), "provenance": fixdim.provenance(cls)}
+        for label, cls in sorted(fixdim.solve_traces(args.group).items())
     ]
     if args.json:
         return _emit_json({"group": args.group, "traces": rows})

@@ -38,19 +38,6 @@ def identity_embedding(rs) -> Embedding:
     return Embedding(rs, rs, m)
 
 
-def product_embedding(embs) -> Embedding:
-    """Block product of embeddings between the factors of two products."""
-    target = ProductRootSystem([e.target for e in embs])
-    source = ProductRootSystem([e.source for e in embs])
-    rows = []
-    before = 0
-    for e in embs:
-        after = target.rank - before - e.target.rank
-        rows.extend((0,) * before + tuple(row) + (0,) * after for row in e.matrix)
-        before += e.target.rank
-    return Embedding(source, target, tuple(rows))
-
-
 def subsystem_embedding(rs: RootSystem, nodes, comps=None) -> Embedding:
     """Embedding of the subsystem spanned by (key, root) pairs; ``comps``: their classification."""
     comps = classify_subdiagram(rs, nodes) if comps is None else comps
@@ -232,10 +219,14 @@ def diagonal_embedding(target: ProductRootSystem, groups) -> Embedding:
 
 
 def refine_factor(emb: Embedding, index: int, inner: Embedding) -> Embedding:
-    """Replace factor ``index`` of the source product by a subgroup of it."""
-    embs = [identity_embedding(f) for f in emb.source.factors]
-    embs[index] = inner
-    return emb.then(product_embedding(embs))
+    """Replace factor ``index`` of the source product by a subgroup of it: the
+    factor's block of rows is mapped on by ``inner``, the other rows are kept."""
+    factors = emb.source.factors
+    start = sum(f.rank for f in factors[:index])
+    stop = start + factors[index].rank
+    rows = emb.matrix[:start] + matmul(inner.matrix, emb.matrix[start:stop]) + emb.matrix[stop:]
+    source = ProductRootSystem(factors[:index] + (inner.source,) + factors[index + 1:])
+    return Embedding(source, emb.target, rows)
 
 
 # -- named chains used by the tables ------------------------------------------

@@ -7,7 +7,8 @@ identity component, and the outer classes of AutE6 and AutD4 from the
 twisted diagrams E6^(2), D4^(2) and D4^(3).  No trace is read from a table
 row, so every row with a fusion is a test of the printed data.  Traces are
 integers; the average divides by |F| and is the one ``Fraction`` here, so
-its integrality is a check, never an assumption.
+its integrality is a check, never an assumption.  ``solve_traces`` is the one
+record of a table group's classes and traces, computed once per process.
 """
 
 from __future__ import annotations
@@ -17,12 +18,8 @@ from functools import cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .rootsys import ADJOINT_DIMENSION, SimpleType, build_root_system, group_type
+from .rootsys import ADJOINT_DIMENSION, TWISTED_GROUPS, SimpleType, build_root_system, group_type
 from .torsion import enumerate_irreducible_elements
-
-# the orders of the diagram automorphisms that give the outer classes of the
-# automorphism-extended table groups
-_OUTER_TWISTS = {"AutE6": (2,), "AutD4": (2, 3)}
 
 KAC = "kac-computed"
 TWISTED_KAC = "twisted-diagram"
@@ -65,73 +62,48 @@ class ClassFusion(NamedTuple("ClassFusion", [("group_order", int), ("entries", t
         return tuple(l for l, _ in self.entries)
 
 
-class TraceTable(NamedTuple("TraceTable", [("entries", MappingProxyType)])):
-    """Exact adjoint traces per (ambient group, class label), with provenance.
-
-    Read-only: ``entries`` maps (group, label) to (value, provenance) through a
-    ``MappingProxyType`` over a private copy, so writing into it raises TypeError.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, entries=()):
-        return super().__new__(cls, MappingProxyType(dict(entries)))
-
-    def get(self, group: str, label: str) -> int:
-        try:
-            return self.entries[(group, label)][0]
-        except KeyError:
-            raise KeyError(f"no trace for class {label} of {group}") from None
-
-    def provenance(self, group: str, label: str) -> str:
-        return self.entries[(group, label)][1]
-
-
-def classes_of(name: str) -> tuple:
+def classes_of(name: str):
     """The classes of a table group, or of any other simple type named canonically.
 
-    Only the seven table groups are kept (``group_classes``); any other type,
+    Only the seven table groups are kept (``solve_traces``); any other type,
     such as one named on the command line, is enumerated on each call.
     """
     if name in ADJOINT_DIMENSION:
-        return group_classes(name)
+        return solve_traces(name).values()
     return enumerate_irreducible_elements(build_root_system(SimpleType.parse(name)))
 
 
 @cache
-def group_classes(group: str) -> tuple:
-    """A table group's classes with irreducible centralizer: inner, then outer.
-
-    Computed once per process: the classes are frozen and read no file.  AutE6
-    and AutD4 take their inner classes from E6 and D4.
-    """
-    rs = build_root_system(group_type(group))
-    if group not in _OUTER_TWISTS:
-        return enumerate_irreducible_elements(rs)
-    return classes_of(str(rs.type)) + tuple(
-        cls for twist in _OUTER_TWISTS[group] for cls in enumerate_irreducible_elements(rs, twist)
-    )
-
-
-@cache
-def solve_traces(group: str) -> TraceTable:
-    """One table group's traces, every one computed from Kac coordinates.
+def solve_traces(group: str) -> MappingProxyType:
+    """A table group's classes with irreducible centralizer, read-only, by label:
+    inner, then outer.  Each carries its trace, computed from Kac coordinates.
 
     The name is the ``solve-traces`` verb's; nothing is solved from rows.
-    Computed once per process and group, like the classes behind it.
+    Computed once per process and group: the classes are frozen and read no
+    file.  AutE6 and AutD4 take their inner classes from E6 and D4.
     """
-    return TraceTable(
-        ((group, cls.name), (cls.trace, KAC if cls.kac.twist == 1 else TWISTED_KAC))
-        for cls in group_classes(group)
-    )
+    rs = build_root_system(group_type(group))
+    twists = TWISTED_GROUPS[group][1] if group in TWISTED_GROUPS else ()
+    inner = classes_of(str(rs.type)) if twists else enumerate_irreducible_elements(rs)
+    outer = [cls for twist in twists for cls in enumerate_irreducible_elements(rs, twist)]
+    return MappingProxyType({cls.name: cls for cls in (*inner, *outer)})
 
 
-def base_trace_table(groups=tuple(ADJOINT_DIMENSION)) -> TraceTable:
-    """The traces of the given table groups (default: all seven) in one table."""
-    return TraceTable(item for group in groups for item in solve_traces(group).entries.items())
+def provenance(cls) -> str:
+    """Where a class's trace comes from: the extended diagram, or a twisted one."""
+    return KAC if cls.kac.twist == 1 else TWISTED_KAC
 
 
-def fixed_point_dimension(adjoint_dim: int, fusion: ClassFusion, traces: TraceTable, group: str) -> Fraction:
-    """(1/|F|) (dim + sum of count * trace); the caller checks integrality."""
-    total = adjoint_dim + sum(count * traces.get(group, label) for label, count in fusion.entries)
+def base_trace_table(groups=tuple(ADJOINT_DIMENSION)) -> dict:
+    """``solve_traces`` of the given table groups (default: all seven), by group."""
+    return {group: solve_traces(group) for group in groups}
+
+
+def fixed_point_dimension(adjoint_dim: int, fusion: ClassFusion, classes, group: str) -> Fraction:
+    """(1/|F|) (dim + sum of count * trace), the traces read from ``classes``,
+    ``solve_traces(group)``; the caller checks integrality."""
+    try:
+        total = adjoint_dim + sum(count * classes[label].trace for label, count in fusion.entries)
+    except KeyError as exc:
+        raise KeyError(f"no trace for class {exc.args[0]} of {group}") from None
     return Fraction(total, fusion.group_order)

@@ -74,18 +74,20 @@ class SimpleType(NamedTuple("SimpleType", [("family", str), ("rank", int)])):
         return _ADJOINT_DIM[self.family](self.rank)
 
 
-# identity components of the automorphism-extended table groups: inner classes, rank, dimension
-_IDENTITY_COMPONENT = {"AutE6": "E6", "AutD4": "D4"}
+# The automorphism-extended table groups, the one statement of each: its identity
+# component (inner classes, rank, dimension), and for each order of diagram
+# automorphism the g_0 of its twisted affine diagram, E6^(2), D4^(2) and D4^(3)
+TWISTED_GROUPS = {"AutE6": ("E6", {2: "F4"}), "AutD4": ("D4", {2: "B3", 3: "G2"})}
 
 
 def group_type(group: str) -> SimpleType:
     """Simple type of a table group; AutE6 and AutD4 give E6 and D4."""
-    return SimpleType.parse(_IDENTITY_COMPONENT.get(group, group))
+    return SimpleType.parse(TWISTED_GROUPS.get(group, (group,))[0])
 
 
 ADJOINT_DIMENSION = {
     g: group_type(g).adjoint_dimension
-    for g in ("E8", "E7", "E6", "F4", "G2", *_IDENTITY_COMPONENT)
+    for g in ("E8", "E7", "E6", "F4", "G2", *TWISTED_GROUPS)
 }
 
 
@@ -456,10 +458,6 @@ class SemisimpleTypeLabel(NamedTuple):
     @property
     def rank(self) -> int:
         return sum(st.rank for st, _ in self.factors)
-
-    def plain(self) -> "SemisimpleTypeLabel":
-        """The same label with annotations stripped."""
-        return SemisimpleTypeLabel(_canonical((st, False) for st, _ in self.factors))
 
 
 def _canonical(factors) -> tuple:

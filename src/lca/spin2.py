@@ -61,10 +61,6 @@ class SignVector(NamedTuple("SignVector", [("n", int), ("signs", tuple)])):
     def support(self) -> frozenset:
         return frozenset(i for i, s in enumerate(self.signs) if s == -1)
 
-    @property
-    def weight(self) -> int:
-        return sum(1 for s in self.signs if s == -1)
-
 
 class EigenPartition(NamedTuple):
     """Joint eigenspace blocks of a set of sign vectors, in coordinate order."""

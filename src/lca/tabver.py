@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .embed import _CHAINS, named_chain
-from .fixdim import ClassFusion, TraceTable, base_trace_table, fixed_point_dimension
+from .fixdim import ClassFusion, base_trace_table, fixed_point_dimension, provenance
 from .repth import adjoint_character, has_trivial_factor, restrict
 from .rootsys import ADJOINT_DIMENSION, SemisimpleTypeLabel, SimpleType, build_root_system, group_type
 
@@ -74,20 +74,14 @@ class CharConstraint(NamedTuple):
             return p not in self.values
         return True
 
-    def __str__(self) -> str:
-        if self.kind == "eq":
-            return f"p={self.values[0]}"
-        if self.kind == "ne":
-            return "p!=" + ",".join(map(str, self.values))
-        return ""
-
-
-_CANDIDATE_CHARS = (0, 2, 3, 5, 7)
-
 
 def constraints_compatible(a: CharConstraint, order_a: int, b: CharConstraint, order_b: int) -> bool:
-    """Some characteristic satisfies both constraints and divides neither order."""
-    for p in _CANDIDATE_CHARS:
+    """Some characteristic satisfies both constraints and divides neither order.
+
+    Only 0 and the primes named by ``p=`` need trying: 0 meets every constraint
+    but ``p=q``, which q alone meets.
+    """
+    for p in (0, *(c.values[0] for c in (a, b) if c.kind == "eq")):
         if a.allows(p) and b.allows(p):
             if p == 0 or (order_a % p and order_b % p):
                 return True
@@ -307,7 +301,7 @@ def load_tables(directory: str | None = None) -> TableSet:
 # -- trace assembly ------------------------------------------------------------
 
 
-def assemble_traces(rows) -> TraceTable:
+def assemble_traces(rows) -> dict:
     """The traces of every class of each group that ``rows`` name.
 
     Only the group names are read; every value comes from Kac coordinates.
@@ -367,16 +361,17 @@ def _verdict(ok, failure):
 # -- checks ------------------------------------------------------------------------
 
 
-def _dimension_identity(row, traces: TraceTable):
+def _dimension_identity(row, traces: dict):
     """(dim + sum of traces) / |F| against the printed centralizer dimension."""
     if row.fusion is None:
         return None
     expected = row.centralizer.dimension
+    classes = traces[row.group]
     try:
-        value = fixed_point_dimension(ADJOINT_DIMENSION[row.group], row.fusion, traces, row.group)
+        value = fixed_point_dimension(ADJOINT_DIMENSION[row.group], row.fusion, classes, row.group)
     except KeyError as exc:
         return "fail", str(exc)
-    prov = sorted({traces.provenance(row.group, l) for l in row.fusion.labels()})
+    prov = sorted({provenance(classes[l]) for l in row.fusion.labels()})
     prov_note = f" [traces: {', '.join(prov)}]" if prov else ""
     if value == expected:
         if row.expected_flagged:
@@ -485,7 +480,7 @@ CHECKS = {
 }
 
 
-def audit_dimension_identity(rows, traces: TraceTable) -> AuditReport:
+def audit_dimension_identity(rows, traces: dict) -> AuditReport:
     return _audit(rows, CHECKS["dimension"], traces)
 
 

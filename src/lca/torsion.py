@@ -31,14 +31,12 @@ from .embed import subsystem_embedding
 from .linalg import dot
 from .repth import Character, has_trivial_factor, restrict
 from .rootsys import (
+    TWISTED_GROUPS,
     RootSystem,
     SemisimpleTypeLabel,
     classify_subdiagram,
     root_system,
 )
-
-# g_0 of each twisted affine diagram: E6^(2), D4^(2) and D4^(3)
-_FIXED_TYPES = {("E6", 2): "F4", ("D4", 2): "B3", ("D4", 3): "G2"}
 
 
 def fixed_subsystem(rs: RootSystem, twist: int) -> RootSystem:
@@ -46,9 +44,9 @@ def fixed_subsystem(rs: RootSystem, twist: int) -> RootSystem:
     return rs if twist == 1 else _twisted_fixed_subsystem(rs, twist)
 
 
-@cache  # an error is not kept, so this holds at most the entries of _FIXED_TYPES
+@cache  # an error is not kept, so this holds at most one entry per twisted diagram
 def _twisted_fixed_subsystem(rs: RootSystem, twist: int) -> RootSystem:
-    name = _FIXED_TYPES.get((rs.label(), twist))
+    name = dict(TWISTED_GROUPS.values()).get(rs.label(), {}).get(twist)
     if name is None:
         raise ValueError(f"{rs.label()} has no twisted diagram of order {twist}")
     return root_system(name)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from lca.embed import subsystem_embedding
-from lca.rootsys import RootSystem
+from lca.rootsys import RootSystem, SemisimpleTypeLabel
 from lca.tabver import TableSet
 
 # every admissible simple type of rank at most 8
@@ -246,6 +246,11 @@ def strip_flags(ts: TableSet) -> TableSet:
     """The same table set with every expected-discrepancy flag removed."""
     rows = {table: tuple(r._replace(flags=()) for r in rows) for table, rows in ts.rows.items()}
     return ts._replace(rows=rows)
+
+
+def unbarred(label: SemisimpleTypeLabel) -> SemisimpleTypeLabel:
+    """The same label with its bars (``~``, short-root factors) stripped."""
+    return SemisimpleTypeLabel.parse(str(label).replace("~", ""))
 
 
 def levi_embedding(rs: RootSystem, kept):

@@ -69,7 +69,7 @@ def test_criterion_3_traces():
     }
     traces = base_trace_table()
     for (group, label), value in kac_stated.items():
-        assert traces.get(group, label) == value
+        assert traces[group][label].trace == value
 
     # the rest of the computed table: inner classes from extended diagrams,
     # the outer classes of AutE6 and AutD4 from the twisted ones
@@ -89,7 +89,7 @@ def test_criterion_3_traces():
             rows_by_group.setdefault(row.group, []).append(row)
     for group, labels in expected.items():
         for label, value in labels.items():
-            assert traces.get(group, label) == value, (group, label)
+            assert traces[group][label].trace == value, (group, label)
             # cross-check on an independent non-cyclic row; the one class with
             # no non-cyclic occurrence (AutE6 4A) is checked on its second,
             # independent cyclic record instead, and AutD4 6A, whose one row
@@ -105,7 +105,7 @@ def test_criterion_3_traces():
                 row
                 for row in witnesses
                 if fixed_point_dimension(
-                    ADJOINT_DIMENSION[group], row.fusion, traces, group
+                    ADJOINT_DIMENSION[group], row.fusion, traces[group], group
                 )
                 == row.centralizer.dimension
             ]
@@ -120,10 +120,10 @@ CYCLIC_ONLY = {("AutE6", "4A"): 2, ("AutD4", "6A"): 1}
 def test_criterion_4_fixed_dimension_spot_checks():
     traces = base_trace_table()
     values = [
-        fixed_point_dimension(248, ClassFusion.parse("2B^15,3A^20,5A^24"), traces, "E8"),
-        fixed_point_dimension(248, ClassFusion.parse("2B^15,3B^20,5A^24"), traces, "E8"),
-        fixed_point_dimension(248, ClassFusion.parse("3B^26"), traces, "E8"),
-        fixed_point_dimension(78, ClassFusion.parse("3A^8"), traces, "E6"),
+        fixed_point_dimension(248, ClassFusion.parse("2B^15,3A^20,5A^24"), traces["E8"], "E8"),
+        fixed_point_dimension(248, ClassFusion.parse("2B^15,3B^20,5A^24"), traces["E8"], "E8"),
+        fixed_point_dimension(248, ClassFusion.parse("3B^26"), traces["E8"], "E8"),
+        fixed_point_dimension(78, ClassFusion.parse("3A^8"), traces["E6"], "E6"),
     ]
     assert values == [0, 3, 14, 6]
     _ok(4, "fixed-dimension spot checks give 0, 3, 14, 6 exactly")

@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import os
+import re
 import runpy
 import shutil
 import signal
@@ -19,14 +20,16 @@ from hypothesis import strategies as st
 from lca import cli, tabver, torsion
 from lca.cli import _table_groups, _verbs, build_parser, run
 from lca.embed import _CHAINS
-from lca.fixdim import ADJOINT_DIMENSION, group_classes, solve_traces
+from lca.fixdim import ADJOINT_DIMENSION, solve_traces
 from lca.repth import _freudenthal_multiplicities, adjoint_character
-from lca.rootsys import SimpleType, _classified, build_root_system, cartan_matrix, is_admissible
+from lca.rootsys import (
+    TWISTED_GROUPS, SimpleType, _classified, build_root_system, cartan_matrix, is_admissible
+)
 from lca.tabver import (
     AUDITED_TABLES, TABLE_ALIASES, _read_table, element_annotations, load_elements
 )
 from lca.torsion import (
-    _FIXED_TYPES, _twisted_fixed_subsystem, adjoint_trace, eigenvalue_profile, graded_weights
+    _twisted_fixed_subsystem, adjoint_trace, eigenvalue_profile, graded_weights
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -77,24 +80,23 @@ def test_trace_names_its_group_canonically(capture):
         ("E8", "2A", ("e8", " E8"), 1),
         ("AutE6", "2B", ("aute6", " AutE6"), 2),
     ):
-        group_classes.cache_clear()
         solve_traces.cache_clear()
         for spelling in (*spellings, group):
             status, out, _ = capture("trace", spelling, cls, "--json")
             assert status == 0 and json.loads(out)["group"] == group
-        assert group_classes.cache_info().currsize == entries
+        assert solve_traces.cache_info().currsize == entries
 
 
 def test_only_table_groups_keep_their_classes(capture):
     """A type named on the command line is enumerated per query, never kept."""
-    group_classes.cache_clear()
+    solve_traces.cache_clear()
     for n in range(1, 11):
         assert capture("trace", f"A{n}", "2A")[0] == 2  # A_n names its classes 2?, 3?, ...
     assert capture("trace", "D4", "2A") == (0, "-4\n", "")
-    assert group_classes.cache_info().currsize == 0
+    assert solve_traces.cache_info().currsize == 0
     for group in ADJOINT_DIMENSION:
         assert capture("torsion-enum", group)[0] == 0
-    assert group_classes.cache_info().currsize == 7
+    assert solve_traces.cache_info().currsize == 7
 
 
 PER_TYPE_CACHES = (build_root_system, cartan_matrix, _classified, eigenvalue_profile, graded_weights)
@@ -110,7 +112,7 @@ def test_per_type_caches_hold_the_working_set_and_stay_bounded(capture):
     for group in ADJOINT_DIMENSION:
         assert capture("torsion-enum", group, "--json")[0] == 0
         assert capture("solve-traces", group)[0] == 0
-        for c in group_classes(group):
+        for c in solve_traces(group).values():
             for power in range(1, c.order + 1):
                 assert capture("trace", group, c.name, "--power", str(power))[0] == 0
     for cached in PER_TYPE_CACHES:
@@ -122,7 +124,8 @@ def test_per_type_caches_hold_the_working_set_and_stay_bounded(capture):
     for cached in PER_TYPE_CACHES:
         info = cached.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, cached.__wrapped__
-    assert _twisted_fixed_subsystem.cache_info().currsize <= len(_FIXED_TYPES)
+    twisted_diagrams = sum(len(fixed) for _, fixed in TWISTED_GROUPS.values())
+    assert _twisted_fixed_subsystem.cache_info().currsize <= twisted_diagrams
 
 
 def test_a_rebuilt_root_system_equals_the_evicted_one():
@@ -202,7 +205,6 @@ def test_solve_traces(capture):
 def test_trace_verbs_need_no_tables(tmp_path, monkeypatch, capture, argv, want):
     # one group's traces come from Kac coordinates alone; no table is read,
     # and none was read by an earlier test warming the per-process values
-    group_classes.cache_clear()
     solve_traces.cache_clear()
     eigenvalue_profile.cache_clear()
     monkeypatch.setenv("LCA_DATA_DIR", str(tmp_path))
@@ -473,6 +475,21 @@ def test_verify_all_json_matches_golden(capture):
     assert capture("verify", "--all", "--json") == (0, frozen, "")
 
 
+def test_calculator_matches_golden(capture):
+    """``solve-traces`` and ``torsion-enum``, as text and ``--json``, for every table
+    group (``torsion-enum`` for D4 too), byte for byte, as captured before a refactor."""
+    path = os.path.join(os.path.dirname(__file__), "golden", "calculator.txt")
+    with open(path, encoding="utf-8") as fh:
+        sections = re.split(r"^### (.+)\n", fh.read(), flags=re.M)
+    frozen = dict(zip(sections[1::2], sections[2::2]))
+    queries = [("solve-traces", g) for g in ADJOINT_DIMENSION]
+    queries += [("torsion-enum", g) for g in (*ADJOINT_DIMENSION, "D4")]
+    assert sections[0] == "" and len(frozen) == 30
+    assert set(frozen) == {" ".join(q + tail) for q in queries for tail in ((), ("--json",))}
+    for heading, out in frozen.items():
+        assert capture(*heading.split()) == (0, out, ""), heading
+
+
 JSON_STRINGS = st.text() | st.text(st.sampled_from('a "\\/\x00\x1f\x7f\u00e9\u2028\u2029\U0001f600'))
 JSON_VALUES = st.recursive(
     JSON_STRINGS | st.integers() | st.integers(-2**70, 2**70) | st.booleans() | st.none()
@@ -655,7 +672,6 @@ SIGN_VECTOR_SETS = (
 
 
 def _clear_process_caches():
-    group_classes.cache_clear()
     solve_traces.cache_clear()
     eigenvalue_profile.cache_clear()
     build_parser.cache_clear()
@@ -708,7 +724,7 @@ def test_answers_in_one_process_equal_fresh_answers(capture):
     argvs += [
         ["trace", g, c.name, "--power", str(power)]
         for g in FUSIONS
-        for c in group_classes(g)
+        for c in solve_traces(g).values()
         for power in range(c.order + 1)
     ]
     argvs += [["torsion-enum", g, "--json"] for g in FUSIONS]
@@ -742,16 +758,16 @@ def test_trace_queries_compute_each_class_trace_once(monkeypatch, capture):
                 assert capture("fixdim", "--group", spelling, "--fusion", FUSIONS[group])[0] == 0
                 assert capture("solve-traces", spelling, "--json")[0] == 0
     assert calls and set(calls.values()) == {1}
-    assert solve_traces.cache_info().currsize == 2
+    assert solve_traces.cache_info().currsize == 3  # AutE6 keeps E6's classes as E6's
 
 
 def test_cached_classes_are_shared_and_frozen():
-    classes = group_classes("E8")
-    assert group_classes("E8") is classes
+    classes = solve_traces("E8")
+    assert solve_traces("E8") is classes
     with pytest.raises(AttributeError):
-        classes[0].name = "2Z"
+        classes["2A"].name = "2Z"
     with pytest.raises(AttributeError):
-        classes[0].kac.labels = (1,) * 9
+        classes["2A"].kac.labels = (1,) * 9
 
 
 # The CLI grammar: a well-formed query of any verb, or one with one token

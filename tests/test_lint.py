@@ -82,8 +82,10 @@ _NAME_FIELD = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
 
 def _unreferenced_definitions() -> list:
     """``module.qualname`` of each function, class and method of ``src/lca``, dunders
-    aside, whose name no code in ``src/lca`` mentions outside the definition itself."""
-    definitions, references = [], {}  # references: name -> scopes it is mentioned in
+    aside, whose name no code in ``src/lca`` mentions outside the definition itself.
+    A method is mentioned only by an attribute access (``x.name``): a local variable
+    or function of the same name does not reach it."""
+    definitions, references = [], {}  # references: name -> (scope, is attribute) per mention
 
     def visit(node, module, scope):  # scope: the enclosing definitions, outermost first
         for child in ast.iter_child_nodes(node):
@@ -93,8 +95,16 @@ def _unreferenced_definitions() -> list:
                 continue
             field = _NAME_FIELD.get(type(child))
             if field:
-                references.setdefault(getattr(child, field), []).append(scope)
+                mention = (scope, isinstance(child, ast.Attribute))
+                references.setdefault(getattr(child, field), []).append(mention)
             visit(child, module, scope)
+
+    def used(scope) -> bool:
+        method = len(scope) > 1 and isinstance(scope[-2], ast.ClassDef)
+        return any(
+            scope[-1] not in mention and (attribute or not method)
+            for mention, attribute in references.get(scope[-1].name, ())
+        )
 
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "lca", "*.py"))):
         with open(path, encoding="utf-8") as fh:
@@ -102,8 +112,7 @@ def _unreferenced_definitions() -> list:
     return [
         ".".join([module, *(d.name for d in scope)])
         for module, scope in definitions
-        if not (scope[-1].name.startswith("__") and scope[-1].name.endswith("__"))
-        and all(scope[-1] in mention for mention in references.get(scope[-1].name, ()))
+        if not (scope[-1].name.startswith("__") and scope[-1].name.endswith("__")) and not used(scope)
     ]
 
 

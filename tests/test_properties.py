@@ -197,7 +197,7 @@ def test_fixed_point_dimension_integral_on_all_rows():
         if row.fusion is None:
             continue
         value = fixed_point_dimension(
-            ADJOINT_DIMENSION[row.group], row.fusion, traces, row.group
+            ADJOINT_DIMENSION[row.group], row.fusion, traces[row.group], row.group
         )
         if value.denominator != 1:
             non_integral.append((row.table, row.f_name))

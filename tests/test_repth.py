@@ -9,7 +9,7 @@ from lca.embed import (
     extended_deletion,
     identity_embedding,
     named_chain,
-    product_embedding,
+    refine_factor,
     so_sum_embedding,
 )
 from lca.repth import (
@@ -313,9 +313,9 @@ def _chain_steps(key):
     for step in _CHAINS[key]:
         if isinstance(step[0], int):
             index, make, *args = step
-            inner = [identity_embedding(f) for f in emb.source.factors]
-            inner[index] = make(emb.source.factors[index], *args)
-            step = product_embedding(inner)
+            # the identity on every factor but ``index``, where the step's own embedding acts
+            inner = make(emb.source.factors[index], *args)
+            step = refine_factor(identity_embedding(emb.source), index, inner)
         else:
             make, *args = step
             step = make(emb.source, *args)

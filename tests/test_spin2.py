@@ -58,7 +58,7 @@ def test_golden_two_group_cases(vectors, group, centralizer):
 
 def test_sign_vector_parse_and_format():
     v = V("(-1^6,1^10)")
-    assert v.n == 16 and v.weight == 6
+    assert v.n == 16 and v.signs.count(-1) == 6
     assert str(v) == "(-1^6,1^10)"
     assert V("(-1,-1,1)").signs == (-1, -1, 1)
     with pytest.raises(ValueError):
@@ -96,7 +96,7 @@ def test_spin_lift_order_rule():
     assert _lift_order(V("(-1^8,1^8)")) == 2
     assert _lift_order(V("(-1^2,1^2)")) == 4
     allones = V("(1^8)")
-    assert _lift_order(allones) == 1 and allones.weight == 0  # the lift of 1 is 1
+    assert _lift_order(allones) == 1 and -1 not in allones.signs  # the lift of 1 is 1
 
 
 def test_lift_commute_rule():

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from lca import embed, fixdim, repth, rootsys, torsion
-from lca.fixdim import ADJOINT_DIMENSION, TWISTED_KAC, ClassFusion, base_trace_table, group_classes
+from lca.fixdim import ADJOINT_DIMENSION, TWISTED_KAC, ClassFusion, base_trace_table, provenance, solve_traces
 from lca.repth import dominant_weights
 from lca.rootsys import SemisimpleTypeLabel, classify_subdiagram
 from lca.torsion import enumerate_irreducible_elements
@@ -23,7 +23,7 @@ from lca.tabver import (
     run_full_audit,
 )
 
-from helpers import strip_flags
+from helpers import strip_flags, unbarred
 
 EXPECTED_FLAGGED = {
     ("e8", "Sym4x2"),
@@ -67,7 +67,7 @@ def test_class_registry_matches_torsion_enumeration(tables):
             for c in enumerate_irreducible_elements(root_system(group))
         }
         registered = {
-            (label, str(cls.centralizer.plain())): cls.order
+            (label, str(unbarred(cls.centralizer))): cls.order
             for (g, label), cls in tables.classes.items()
             if g == group
         }
@@ -98,7 +98,12 @@ def test_char_constraints():
     assert not constraints_compatible(ne23, 8, eq3, 8)  # no common characteristic
     assert not constraints_compatible(CharConstraint.parse("p=2"), 4, eq3, 4)
     assert not constraints_compatible(eq3, 9, eq3, 9)  # p=3 divides the order
-    assert str(ne23) == "p!=2,3"
+    # a characteristic past 7: p=11 and p=13 meet p!=2,3 and divide neither order
+    assert constraints_compatible(CharConstraint.parse("p=11"), 3, ne23, 3)
+    assert constraints_compatible(ne23, 3, CharConstraint.parse("p=13"), 3)
+    assert not constraints_compatible(CharConstraint.parse("p=11"), 11, ne23, 3)
+    assert not constraints_compatible(CharConstraint.parse("p=13"), 3, CharConstraint.parse("p=11"), 3)
+    assert ne23.values == (2, 3) and eq3.values == (3,)
 
 
 def test_full_audit_flag_semantics(report):
@@ -132,34 +137,31 @@ def test_every_trace_used_by_a_passing_row(tables, report):
         if row.row_id in passing and not row.expected_flagged
         for label in row.fusion.labels()
     }
-    unused = sorted(set(traces.entries) - used)
+    computed = {(group, label) for group, classes in traces.items() for label in classes}
+    unused = sorted(computed - used)
     assert unused == [], unused
-    assert len(traces.entries) == 32
+    assert len(computed) == 32
 
 
 def test_solved_outer_traces(tables):
     traces = assemble_traces(tables.subgroup_rows())
-    assert traces.get("AutE6", "2B") == 26
-    assert traces.get("AutE6", "2C") == -6
-    assert traces.get("AutE6", "4A") == -2
-    assert traces.get("AutE6", "6A") == -1
-    assert traces.get("AutD4", "2A") == -4
-    assert traces.get("AutD4", "2B") == 14
-    assert traces.get("AutD4", "2C") == -2
-    assert traces.get("AutD4", "3A") == 7
-    assert traces.get("AutD4", "3B") == -2
-    assert traces.get("AutD4", "6A") == -1
+    solved = {
+        "AutE6": {"2B": 26, "2C": -6, "4A": -2, "6A": -1},
+        "AutD4": {"2A": -4, "2B": 14, "2C": -2, "3A": 7, "3B": -2, "6A": -1},
+    }
+    for group, values in solved.items():
+        assert {label: traces[group][label].trace for label in values} == values
     for label in ("2B", "2C", "3A", "3B", "6A"):
-        assert traces.provenance("AutD4", label) == TWISTED_KAC
+        assert provenance(traces["AutD4"][label]) == TWISTED_KAC
 
 
 def test_enumerated_classes_are_the_elements_table(tables):
     # each table group's enumerated classes, inner and outer, are exactly its
     # rows of the elements table: same names, orders and centralizer types
     for group in ADJOINT_DIMENSION:
-        computed = {(c.name, c.order, c.centralizer.plain()) for c in group_classes(group)}
+        computed = {(c.name, c.order, unbarred(c.centralizer)) for c in solve_traces(group).values()}
         printed = {
-            (e.label, e.order, e.centralizer.plain())
+            (e.label, e.order, unbarred(e.centralizer))
             for (g, _), e in tables.classes.items()
             if g == group
         }
@@ -331,9 +333,7 @@ def test_one_audit_computes_each_table_once(monkeypatch, tables):
 
     monkeypatch.setattr(repth, "dominant_weights", counted_weights)
     monkeypatch.setattr(fixdim, "enumerate_irreducible_elements", counted_enumeration)
-    for cached in (
-        repth._freudenthal_multiplicities, repth.adjoint_character, group_classes, fixdim.solve_traces
-    ):
+    for cached in (repth._freudenthal_multiplicities, repth.adjoint_character, fixdim.solve_traces):
         cached.cache_clear()
     run_full_audit(tables)
     assert freudenthal and set(freudenthal.values()) == {1}
@@ -351,7 +351,7 @@ def test_one_audit_classifies_each_node_set_once(monkeypatch, tables):
 
     for module in (torsion, embed):
         monkeypatch.setattr(module, "classify_subdiagram", counted)
-    for cached in (rootsys._classified, group_classes, fixdim.solve_traces, embed._build_chain):
+    for cached in (rootsys._classified, fixdim.solve_traces, embed._build_chain):
         cached.cache_clear()
     run_full_audit(tables)
     assert max(calls.values()) > 1  # the chains re-type node sets that enumeration typed

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from lca import embed, torsion
-from lca.fixdim import group_classes
+from lca.fixdim import solve_traces
 from lca.rootsys import ADJOINT_DIMENSION, classify_subdiagram, root_system
 from lca.torsion import (
     KacCoordinates,
@@ -117,7 +117,7 @@ def test_order_two_trace_identity():
 
 
 def test_trace_powers():
-    e8 = {c.name: c for c in group_classes("E8")}
+    e8 = solve_traces("E8")
     cls = e8["6A"]
     assert adjoint_trace(cls.kac, 0) == 248
     assert adjoint_trace(cls.kac, 2) == 5  # squares into the 3B class
@@ -191,11 +191,11 @@ def test_outer_classes_from_twisted_diagrams():
 def test_outer_trace_powers_follow_the_power_fusion():
     # x^2 of AutE6 4A is inner 2A; x^2 and x^3 of AutE6 6A are 3A and 2B;
     # x^2 and x^3 of AutD4 6A are 3A and inner 2A
-    e6 = {c.name: c.kac for c in group_classes("AutE6")}
+    e6 = {label: c.kac for label, c in solve_traces("AutE6").items()}
     assert adjoint_trace(e6["4A"], 2) == -2 == adjoint_trace(e6["2A"])
     assert adjoint_trace(e6["6A"], 2) == -3 == adjoint_trace(e6["3A"])
     assert adjoint_trace(e6["6A"], 3) == 26 == adjoint_trace(e6["2B"])
-    d4 = {c.name: c.kac for c in group_classes("AutD4")}
+    d4 = {label: c.kac for label, c in solve_traces("AutD4").items()}
     assert adjoint_trace(d4["6A"], 2) == 7 == adjoint_trace(d4["3A"])
     assert adjoint_trace(d4["6A"], 3) == -4 == adjoint_trace(d4["2A"])
 
@@ -224,5 +224,5 @@ def test_enumeration_classifies_each_candidate_once(monkeypatch):
         monkeypatch.setattr(module, "classify_subdiagram", counted)
     for group in ADJOINT_DIMENSION:
         calls.clear()
-        group_classes.__wrapped__(group)  # uncached, so every candidate is classified
+        solve_traces.__wrapped__(group)  # uncached, so every candidate is classified
         assert calls and set(Counter(calls).values()) == {1}, group
